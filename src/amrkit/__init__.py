@@ -1,11 +1,10 @@
 """amrkit: a desk-scale block-structured adaptive mesh refinement toolkit.
 
-Pure-Python orchestration over numpy data, with numba-compiled hot loops
-selected at import time (set AMRKIT_BACKEND=numpy to force the fallback
-path).  Parallelism is simulated: boxes are assigned to ranks by a
-DistributionMapping and data motion goes through an in-process Transport
-that counts messages and bytes, so communication-sensitive behavior can be
-tested deterministically on one machine.
+Pure-Python orchestration over numpy data.  Parallelism is simulated:
+boxes are assigned to ranks by a DistributionMapping and data motion goes
+through an in-process Transport that counts messages and bytes, so
+communication-sensitive behavior can be tested deterministically on one
+machine.
 """
 
 from .index_space import Box, IndexType, IntVect, box_diff

@@ -1,42 +1,31 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels in numpy: CIC deposit/gather and neighbour pairs.
 
-Every kernel has a numba implementation and a pure-numpy implementation
-that produce bitwise-identical results: the numpy variants are written so
-their floating-point additions happen in exactly the per-particle,
-per-corner order the compiled loops use (np.add.at and ufunc accumulate
-apply updates strictly in index order, so matching the flattening order is
-sufficient).
-
-Backend selection: AMRKIT_BACKEND=numba|numpy in the environment at import
-time, falling back to numpy when numba is unavailable.  Tests and
-benchmarks may switch at runtime with set_backend().
+The invariant that matters is rank invariance.  np.add.at applies updates
+strictly in index order, so a deposit adds its contributions in particle
+order, corner order within a particle, whatever the tiling or rank count
+that produced the particle arrays; equal inputs give bitwise-equal grids.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time choice
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
 
 # ---------------------------------------------------------------------------
 # deposition / gather (cloud-in-cell, linear weights on cell centers)
 # ---------------------------------------------------------------------------
 
 
-def _deposit_cic_numpy(pos, weights, plo, dxinv, arr_lo, out):
+def deposit_cic(pos, weights, plo, dxinv, arr_lo, out):
+    """Scatter weights onto out (a box-local array) with linear CIC stencils.
+
+    Particle i contributes to the 2**D cell centers bracketing it; updates
+    are applied in particle order, corner order within a particle.
+    """
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    plo = np.asarray(plo, dtype=np.float64)
+    dxinv = np.asarray(dxinv, dtype=np.float64)
+    arr_lo = np.asarray(arr_lo, dtype=np.int64)
     n, dim = pos.shape
     if n == 0:
         return
@@ -60,35 +49,13 @@ def _deposit_cic_numpy(pos, weights, plo, dxinv, arr_lo, out):
     np.add.at(flat, idx.reshape(-1), wc.reshape(-1))
 
 
-@njit
-def _deposit_cic_numba(pos, weights, plo, dxinv, arr_lo, flat, shape):
-    n, dim = pos.shape
-    ncorner = 1 << dim
-    il = np.empty(dim, dtype=np.int64)
-    fr = np.empty(dim)
-    for i in range(n):
-        for d in range(dim):
-            xc = (pos[i, d] - plo[d]) * dxinv[d] - 0.5
-            f = np.floor(xc)
-            il[d] = np.int64(f)
-            fr[d] = xc - f
-        for c in range(ncorner):
-            lin = 0
-            w = weights[i]
-            for d in range(dim):
-                stride = 1
-                for dd in range(d + 1, dim):
-                    stride *= shape[dd]
-                if c & (1 << (dim - 1 - d)):
-                    lin += (il[d] + 1 - arr_lo[d]) * stride
-                    w *= fr[d]
-                else:
-                    lin += (il[d] - arr_lo[d]) * stride
-                    w *= 1.0 - fr[d]
-            flat[lin] += w
-
-
-def _gather_cic_numpy(pos, plo, dxinv, arr_lo, grid):
+def gather_cic(pos, plo, dxinv, arr_lo, grid):
+    """Interpolate grid (a box-local array) to particle positions, linearly."""
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    plo = np.asarray(plo, dtype=np.float64)
+    dxinv = np.asarray(dxinv, dtype=np.float64)
+    arr_lo = np.asarray(arr_lo, dtype=np.int64)
+    grid = np.ascontiguousarray(grid)
     n, dim = pos.shape
     out = np.zeros(n)
     if n == 0:
@@ -116,201 +83,47 @@ def _gather_cic_numpy(pos, plo, dxinv, arr_lo, grid):
     return out
 
 
-@njit
-def _gather_cic_numba(pos, plo, dxinv, arr_lo, flat, shape):
-    n, dim = pos.shape
-    ncorner = 1 << dim
-    out = np.zeros(n)
-    il = np.empty(dim, dtype=np.int64)
-    fr = np.empty(dim)
-    for i in range(n):
-        for d in range(dim):
-            xc = (pos[i, d] - plo[d]) * dxinv[d] - 0.5
-            f = np.floor(xc)
-            il[d] = np.int64(f)
-            fr[d] = xc - f
-        acc = 0.0
-        for c in range(ncorner):
-            lin = 0
-            w = 1.0
-            for d in range(dim):
-                stride = 1
-                for dd in range(d + 1, dim):
-                    stride *= shape[dd]
-                if c & (1 << (dim - 1 - d)):
-                    lin += (il[d] + 1 - arr_lo[d]) * stride
-                    w *= fr[d]
-                else:
-                    lin += (il[d] - arr_lo[d]) * stride
-                    w *= 1.0 - fr[d]
-            acc += w * flat[lin]
-        out[i] = acc
-    return out
-
-
-def deposit_cic(pos, weights, plo, dxinv, arr_lo, out):
-    """Scatter weights onto out (a box-local array) with linear CIC stencils.
-
-    Particle i contributes to the 2**D cell centers bracketing it; updates
-    are applied in particle order, corner order within a particle, so the
-    result is independent of backend.
-    """
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    plo = np.asarray(plo, dtype=np.float64)
-    dxinv = np.asarray(dxinv, dtype=np.float64)
-    arr_lo = np.asarray(arr_lo, dtype=np.int64)
-    if _backend == "numba":
-        shape = np.asarray(out.shape, dtype=np.int64)
-        _deposit_cic_numba(pos, weights, plo, dxinv, arr_lo, out.reshape(-1), shape)
-    else:
-        _deposit_cic_numpy(pos, weights, plo, dxinv, arr_lo, out)
-
-
-def gather_cic(pos, plo, dxinv, arr_lo, grid):
-    """Interpolate grid (a box-local array) to particle positions, linearly."""
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    plo = np.asarray(plo, dtype=np.float64)
-    dxinv = np.asarray(dxinv, dtype=np.float64)
-    arr_lo = np.asarray(arr_lo, dtype=np.int64)
-    grid = np.ascontiguousarray(grid)
-    if _backend == "numba":
-        shape = np.asarray(grid.shape, dtype=np.int64)
-        return _gather_cic_numba(pos, plo, dxinv, arr_lo, grid.reshape(-1), shape)
-    return _gather_cic_numpy(pos, plo, dxinv, arr_lo, grid)
-
-
-# ---------------------------------------------------------------------------
-# prefix scan
-# ---------------------------------------------------------------------------
-
-
-@njit
-def _scan_chunk_numba(values, carry, exclusive):
-    out = np.empty_like(values)
-    acc = carry
-    if exclusive:
-        for i in range(values.shape[0]):
-            out[i] = acc
-            acc = acc + values[i]
-    else:
-        for i in range(values.shape[0]):
-            acc = acc + values[i]
-            out[i] = acc
-    return out, acc
-
-
-def _scan_chunk_numpy(values, carry, exclusive):
-    run = np.cumsum(np.concatenate([np.array([carry], dtype=values.dtype), values]))
-    if exclusive:
-        return run[:-1].astype(values.dtype, copy=False), run[-1]
-    return run[1:].astype(values.dtype, copy=False), run[-1]
-
-
-def scan_chunk(values, carry, exclusive):
-    """Scan one chunk given the running total so far; returns (out, new carry).
-
-    Both backends accumulate strictly left to right, so chunked scans agree
-    bitwise with a single whole-array pass.
-    """
-    values = np.ascontiguousarray(values)
-    if _backend == "numba" and values.dtype in (np.dtype(np.float64), np.dtype(np.int64)):
-        out, acc = _scan_chunk_numba(values, values.dtype.type(carry), exclusive)
-        return out, acc
-    return _scan_chunk_numpy(values, values.dtype.type(carry), exclusive)
-
-
 # ---------------------------------------------------------------------------
 # neighbor pairs via cell bins
 # ---------------------------------------------------------------------------
 
 
-@njit
-def _count_fill_pairs_numba(pos, order, bin_start, bin_count, nbins, cutoff2, pairs):
+def _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2):
+    """Unsorted (i < j) pairs within sqrt(cutoff2) from the 3**D bins around
+    each particle.  One pass per bin offset handles every bin at once: each
+    particle in a bin is paired with the whole neighbour bin's slice of
+    order, so every (bin, neighbour bin) pair is visited exactly once."""
     dim = pos.shape[1]
-    strides = np.empty(dim, dtype=np.int64)
-    s = 1
-    for d in range(dim - 1, -1, -1):
-        strides[d] = s
-        s *= nbins[d]
-    noff = 1
-    for d in range(dim):
-        noff *= 3
-    count = 0
-    total_bins = s
-    for b in range(total_bins):
-        # decode bin coords
-        rem = b
-        for off in range(noff):
-            nb = 0
-            ok = True
-            rem = b
-            o = off
-            for d in range(dim):
-                c = rem // strides[d]
-                rem = rem % strides[d]
-                delta = (o // 3 ** (dim - 1 - d)) % 3 - 1
-                nc = c + delta
-                if nc < 0 or nc >= nbins[d]:
-                    ok = False
-                    break
-                nb += nc * strides[d]
-            if not ok:
-                continue
-            for ii in range(bin_start[b], bin_start[b] + bin_count[b]):
-                gi = order[ii]
-                for jj in range(bin_start[nb], bin_start[nb] + bin_count[nb]):
-                    gj = order[jj]
-                    if gj <= gi:
-                        continue
-                    d2 = 0.0
-                    for d in range(dim):
-                        dd = pos[gi, d] - pos[gj, d]
-                        d2 += dd * dd
-                    if d2 <= cutoff2:
-                        if pairs.shape[0] > 0:
-                            pairs[count, 0] = gi
-                            pairs[count, 1] = gj
-                        count += 1
-    return count
-
-
-def _pairs_numpy(pos, order, bin_start, bin_count, nbins, cutoff2):
-    dim = pos.shape[1]
-    strides = np.empty(dim, dtype=np.int64)
-    s = 1
-    for d in range(dim - 1, -1, -1):
-        strides[d] = s
-        s *= int(nbins[d])
-    total_bins = s
-    coords = np.empty((total_bins, dim), dtype=np.int64)
-    rem = np.arange(total_bins)
-    for d in range(dim):
-        coords[:, d] = rem // strides[d]
-        rem = rem % strides[d]
     out = []
     offsets = np.stack(
         np.meshgrid(*([np.array([-1, 0, 1])] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
-    for b in range(total_bins):
-        if bin_count[b] == 0:
+    for off in offsets:
+        nc = cell + off
+        inside = np.all((nc >= 0) & (nc < nbins), axis=1)
+        src = np.nonzero(inside)[0]
+        nb = nc[src] @ strides
+        cnt = bin_count[nb]
+        total = int(cnt.sum())
+        if total == 0:
             continue
-        gi = order[bin_start[b] : bin_start[b] + bin_count[b]]
-        for off in offsets:
-            nc = coords[b] + off
-            if np.any(nc < 0) or np.any(nc >= nbins):
-                continue
-            nb = int(np.dot(nc, strides))
-            if bin_count[nb] == 0:
-                continue
-            gj = order[bin_start[nb] : bin_start[nb] + bin_count[nb]]
-            d2 = np.sum((pos[gi][:, None, :] - pos[gj][None, :, :]) ** 2, axis=2)
-            ii, jj = np.nonzero((d2 <= cutoff2) & (gi[:, None] < gj[None, :]))
-            if ii.size:
-                out.append(np.stack([gi[ii], gj[jj]], axis=1))
+        # candidate k of particle src[p] is entry k of its neighbour bin
+        first = np.cumsum(cnt) - cnt
+        within = np.arange(total, dtype=np.int64) - np.repeat(first, cnt)
+        gi = np.repeat(src, cnt)
+        gj = order[np.repeat(bin_start[nb], cnt) + within]
+        keep = gi < gj
+        gi, gj = gi[keep], gj[keep]
+        d2 = np.zeros(gi.shape[0])
+        for d in range(dim):
+            dd = pos[gi, d] - pos[gj, d]
+            d2 += dd * dd
+        keep = d2 <= cutoff2
+        if keep.any():
+            out.append(np.stack([gi[keep], gj[keep]], axis=1))
     if not out:
         return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(out, axis=0)
+    return np.concatenate(out, axis=0).astype(np.int64, copy=False)
 
 
 def neighbor_pairs(pos, lo, hi, cutoff, max_dist=None):
@@ -339,81 +152,8 @@ def neighbor_pairs(pos, lo, hi, cutoff, max_dist=None):
     bin_start = np.concatenate([[0], np.cumsum(bin_count)[:-1]]).astype(np.int64)
     reach = float(cutoff) if max_dist is None else float(max_dist)
     cutoff2 = reach * reach
-    if _backend == "numba":
-        npairs = _count_fill_pairs_numba(
-            pos, order, bin_start, bin_count, nbins, cutoff2, np.empty((0, 2), np.int64)
-        )
-        pairs = np.empty((npairs, 2), dtype=np.int64)
-        _count_fill_pairs_numba(pos, order, bin_start, bin_count, nbins, cutoff2, pairs)
-    else:
-        pairs = _pairs_numpy(pos, order, bin_start, bin_count, nbins, cutoff2)
+    pairs = _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2)
     if pairs.shape[0]:
         key = np.lexsort((pairs[:, 1], pairs[:, 0]))
         pairs = pairs[key]
     return pairs
-
-
-# ---------------------------------------------------------------------------
-# first-order upwind flux
-# ---------------------------------------------------------------------------
-
-
-@njit
-def _upwind_flux_numba(phi_line, vel):
-    nface = phi_line.shape[0] - 1
-    flux = np.empty(nface)
-    if vel >= 0.0:
-        for i in range(nface):
-            flux[i] = vel * phi_line[i]
-    else:
-        for i in range(nface):
-            flux[i] = vel * phi_line[i + 1]
-    return flux
-
-
-def upwind_flux(phi_line, vel):
-    """Face fluxes for a 1D line of cell values; face i sits between cells
-    i-1 and i of the interior so callers pass one upwind ghost on each end."""
-    phi_line = np.ascontiguousarray(phi_line, dtype=np.float64)
-    if _backend == "numba":
-        return _upwind_flux_numba(phi_line, float(vel))
-    if vel >= 0.0:
-        return vel * phi_line[:-1]
-    return vel * phi_line[1:]
-
-
-# ---------------------------------------------------------------------------
-# backend plumbing
-# ---------------------------------------------------------------------------
-
-_backend = "numpy"
-
-
-def available_backends():
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def get_backend():
-    return _backend
-
-
-def set_backend(name):
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _backend = name
-    return _backend
-
-
-def _initial_backend():
-    want = os.environ.get("AMRKIT_BACKEND", "").strip().lower()
-    if want in ("numba", "numpy"):
-        if want == "numba" and not _HAVE_NUMBA:
-            return "numpy"
-        return want
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-_backend = _initial_backend()

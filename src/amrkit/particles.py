@@ -879,9 +879,13 @@ def prefix_scan(n, reader, writer=None, kind="exclusive", chunk=65536):
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         values = np.asarray([reader(i) for i in range(start, stop)])
-        if carry is None:
-            carry = values.dtype.type(0)
-        out, carry = kernels.scan_chunk(values, carry, kind == "exclusive")
+        carry = values.dtype.type(0 if carry is None else carry)
+        # np.cumsum adds strictly left to right, so the carry makes chunked
+        # scans bitwise equal to one whole-array pass
+        run = np.cumsum(np.concatenate([np.array([carry], dtype=values.dtype), values]))
+        out = run[:-1] if kind == "exclusive" else run[1:]
+        out = out.astype(values.dtype, copy=False)
+        carry = run[-1]
         if writer is not None:
             for off in range(stop - start):
                 writer(start + off, out[off])

@@ -216,11 +216,11 @@ def _write_level_records(
         gauge = threading.Lock()
 
         def write_rank(rank, barrier):
-            barrier.wait()  # the whole wave is live before anyone writes
             with gauge:
                 active[0] += 1
                 counters.peak("io_peak_writers", active[0])
             try:
+                barrier.wait()  # the whole wave is live before anyone writes
                 for i, r in enumerate(owners):
                     if r != rank:
                         continue
