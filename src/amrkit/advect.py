@@ -15,8 +15,8 @@ import numpy as np
 
 from . import coarse_fine
 from .amr_core import AmrHierarchy, Geometry, GridGenParams
-from .coarse_fine import FluxRegister, average_down, fill_patch, snapshot_valid
-from .fabarray import fill_boundary
+from .coarse_fine import FluxRegister, average_down, face_layout, fill_patch, snapshot_valid
+from .fabarray import FabArray, fill_boundary
 from .index_space import Box, IntVect
 from .transport import Transport
 
@@ -34,6 +34,18 @@ def _box_fluxes(fab, vel):
             src if k == d else slice(1, ext[k] + 1) for k in range(dim)
         )
         out.append(u * base[(slice(None),) + idx])
+    return out
+
+
+def _flux_fabarrays(fa, fluxes):
+    """Per-box face fluxes of fa as one face-typed FabArray per dimension,
+    distributed like fa, the form FluxRegister.crse_add reads."""
+    out = []
+    for d in range(fa.dim):
+        ffa = FabArray(face_layout(fa.ba, d), fa.dm, fa.ncomp)
+        for i, fl in enumerate(fluxes):
+            ffa.fab(i).data[...] = fl[d]
+        out.append(ffa)
     return out
 
 
@@ -115,7 +127,7 @@ class AdvectionSolver:
         if self.hier.finest_level < 1:
             return None
         return FluxRegister(
-            self.hier.ba(1), self.params.ref_ratio[0], ncomp=1
+            self.hier.ba(1), self.hier.dm(1), self.params.ref_ratio[0], ncomp=1
         )
 
     # -- stepping --------------------------------------------------------------
@@ -139,10 +151,9 @@ class AdvectionSolver:
         dto_dx_c = [dt / geom_c.cell_size[d] for d in range(dim)]
 
         fill_boundary(phi_c, self.transport, geom_c.domain, geom_c.periodic)
-        crse_fluxes = {}
-        for i in range(len(phi_c.ba)):
-            fl = _box_fluxes(phi_c.fab(i), self.velocity)
-            crse_fluxes[i] = fl
+        crse_fluxes = [
+            _box_fluxes(phi_c.fab(i), self.velocity) for i in range(len(phi_c.ba))
+        ]
         for i in range(len(phi_c.ba)):
             _apply_fluxes(phi_c.fab(i), crse_fluxes[i], dto_dx_c)
 
@@ -150,7 +161,10 @@ class AdvectionSolver:
             if self.fluxreg is not None:
                 self.fluxreg.zero()
                 self.fluxreg.crse_add(
-                    crse_fluxes, phi_c.ba, geom_c.domain, scale=1.0
+                    _flux_fabarrays(phi_c, crse_fluxes),
+                    self.transport,
+                    geom_c.domain,
+                    scale=1.0,
                 )
             ratio = self.params.ref_ratio[0]
             nsub = max(ratio.coords)
@@ -179,7 +193,7 @@ class AdvectionSolver:
             average_down(phi_f, phi_c, ratio, self.transport)
             if self.use_reflux and self.fluxreg is not None:
                 self.fluxreg.reflux(
-                    phi_c, dto_dx_c, geom_c.domain, geom_c.periodic
+                    phi_c, self.transport, dto_dx_c, geom_c.domain, geom_c.periodic
                 )
         self.time += dt
         self.step_count += 1
@@ -280,7 +294,6 @@ def load_solver_checkpoint(path, nranks=None):
     from . import plotfile
     from .amr_core import _LevelState
     from .distribution import DistributionMapping
-    from .fabarray import FabArray
 
     data = plotfile.read_checkpoint(path)
     meta = ast.literal_eval(data["blob"].decode())

@@ -7,12 +7,17 @@ key on.  Intersection queries go through a spatial hash binned at the
 maximum box extent, so a query the size of a box (or a box grown by a few
 ghost cells) touches at most 3 bins per dimension no matter how many boxes
 the collection holds.
+
+Layouts are immutable and identified by a process-unique uid, so caches
+key derived data (communication plans, coarsened layouts) on uids.
+``on_free`` ties such entries to the lifetime of the layouts they key on.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 
 from . import counters
 from .index_space import Box, IndexType, IntVect, box_diff
@@ -20,11 +25,37 @@ from .index_space import Box, IndexType, IntVect, box_diff
 _uid_lock = threading.Lock()
 _uid_next = itertools.count(1)
 
+_watch_lock = threading.Lock()
+_watched = set()  # (uid, evict) pairs with a registered finalizer
+
+
+def on_free(ba, evict):
+    """Arrange for evict(ba.uid) to run once, when ba is garbage collected.
+
+    A cache calls this for every layout an entry keys on, so the entry
+    lives exactly as long as its layouts.  Repeated calls with the same
+    (layout, evict) pair register one finalizer.  evict may run inside a
+    garbage collection triggered anywhere, so it must tolerate re-entry:
+    take a reentrant lock and iterate over a snapshot of the cache.
+    """
+    tag = (ba.uid, evict)
+    with _watch_lock:
+        if tag in _watched:
+            return
+        _watched.add(tag)
+    # nothing to evict when the process exits
+    weakref.finalize(ba, _fire, tag).atexit = False
+
+
+def _fire(tag):
+    _watched.discard(tag)
+    tag[1](tag[0])
+
 
 class BoxArray:
     """An ordered collection of pairwise-disjoint boxes of one index type."""
 
-    __slots__ = ("boxes", "ixtype", "uid", "_hash", "_hash_lock")
+    __slots__ = ("boxes", "ixtype", "uid", "_hash", "_hash_lock", "__weakref__")
 
     def __init__(self, boxes, ixtype=None, validate=True):
         boxes = tuple(boxes)

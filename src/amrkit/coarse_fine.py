@@ -11,10 +11,23 @@ the fine region and -1 on the low side.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-from .boxarray import BoxArray
-from .fabarray import FabArray, build_plan_copy, parallel_copy, _execute_plan
+from .boxarray import BoxArray, on_free
+from .distribution import DistributionMapping
+from .fabarray import (
+    CommPlan,
+    CopyRecord,
+    FabArray,
+    _cached_plan,
+    _execute_plan,
+    _normalize_periodic,
+    _periodic_shifts,
+    _plan_key,
+    parallel_copy,
+)
 from .index_space import Box, IndexType, IntVect, box_diff
 
 
@@ -26,21 +39,44 @@ def _as_ratio(ratio, dim):
     return ratio
 
 
-_coarsen_memo = {}
-_coarsen_lock = __import__("threading").Lock()
+_layout_memo = {}
+# reentrant: evicting a layout can free a derived one whose finalizer
+# evicts again on the same thread
+_layout_lock = threading.RLock()
+
+
+def _evict_layouts(uid):
+    with _layout_lock:
+        for key in list(_layout_memo):
+            if key[0] == uid:
+                _layout_memo.pop(key, None)
+
+
+def _derived_layout(ba, how, derive):
+    """One stable derived layout (and uid) per (ba, how), so communication
+    plans built against it stay cached across calls; freed with ba."""
+    key = (ba.uid, how)
+    with _layout_lock:
+        hit = _layout_memo.get(key)
+    if hit is not None:
+        return hit
+    on_free(ba, _evict_layouts)
+    out = derive()
+    with _layout_lock:
+        return _layout_memo.setdefault(key, out)
 
 
 def coarsened_layout(ba, ratio):
-    """Memoized ba.coarsen(ratio): one stable layout (and uid) per input, so
-    communication plans built against it stay cached across calls."""
-    key = (ba.uid, ratio.coords)
-    with _coarsen_lock:
-        hit = _coarsen_memo.get(key)
-    if hit is not None:
-        return hit
-    cba = ba.coarsen(ratio)
-    with _coarsen_lock:
-        return _coarsen_memo.setdefault(key, cba)
+    """Memoized ba.coarsen(ratio)."""
+    return _derived_layout(ba, ("coarsen", ratio.coords), lambda: ba.coarsen(ratio))
+
+
+def face_layout(ba, d):
+    """Memoized ba.convert to the face type of dimension d: the layout of
+    per-box face fluxes."""
+    return _derived_layout(
+        ba, ("face", d), lambda: ba.convert(IndexType.face(ba.dim, d))
+    )
 
 
 def _child_offsets(r):
@@ -192,17 +228,15 @@ def _copy_into(dst, src, transport, include_dst_ghosts=False, domain=None, perio
     ngrow = dst.ngrow if include_dst_ghosts else 0
     plan = build_plan_copy_grown(dst.ba, src.ba, ngrow, domain, periodic)
 
-    def combine(d, s):
+    def combine(d, s, rec):
         d[...] = s
 
     _execute_plan(plan, src, dst, transport, combine)
 
 
 def build_plan_copy_grown(dst_ba, src_ba, ngrow, domain=None, periodic=None):
-    from .fabarray import CommPlan, CopyRecord, _cached_plan, _normalize_periodic, _periodic_shifts
-
     periodic = _normalize_periodic(periodic, dst_ba.dim)
-    key = ("copyg", dst_ba.uid, src_ba.uid, ngrow, periodic, domain)
+    key = _plan_key("copyg", (dst_ba, src_ba), ngrow, periodic, domain)
 
     def build():
         if domain is None:
@@ -294,8 +328,6 @@ def fill_patch(
 
         apply_domain_boundary(dst, geom, boundary)
     if domain is not None:
-        from .fabarray import _normalize_periodic
-
         per = _normalize_periodic(periodic, dim)
         check = domain.grow(
             IntVect(dst.ngrow if per[d] else 0 for d in range(dim))
@@ -317,13 +349,28 @@ def fill_patch(
 class FluxRegister:
     """Per coarse face on the fine-level boundary: (avg fine flux - coarse flux).
 
-    Patches are indexed (fine_box, dim, side); each holds a face-typed box
-    at coarse resolution and an (ncomp, *face extents) array.  Faces whose
-    outside cell is covered by the fine level accumulate harmlessly and are
-    skipped at reflux time.
+    There is one patch per (fine box k, dimension d, side), numbered
+    p = (k * dim + d) * 2 + side with side 0 low and 1 high.  Patch p is a
+    one-cell-thick slab holding (ncomp, *extents) values for the coarse
+    faces on that side of the coarsened fine box, indexed by the coarse
+    cell just outside it: the low-side face at plane f sits at cell f - 1,
+    the high-side face at cell f.  Faces whose outside cell is covered by
+    the fine level accumulate harmlessly and are skipped at reflux time.
+
+    Ownership: patch p lives on the rank of fine box k (fine_dm[k]), so
+    fine_add is rank-local; coarse fluxes and coarse cells live on the rank
+    of their coarse box.  crse_add and reflux move data between the two
+    through cached CommPlans executed over the Transport; their box algebra
+    runs once per (fine layout, coarse layout) pair, on first use.
+
+    Apply order: every register face receives exactly one coarse flux, so
+    crse_add is order-free.  reflux can add to one coarse cell from several
+    patches, so its records are applied in generation order: patches in
+    (k, d, side) order, then coarse boxes in intersections order, then the
+    uncovered pieces in box_diff order.
     """
 
-    def __init__(self, fine_ba, ratio, ncomp=1):
+    def __init__(self, fine_ba, fine_dm, ratio, ncomp=1):
         self.ratio = _as_ratio(ratio, fine_ba.dim)
         self.ncomp = int(ncomp)
         if not fine_ba.coarsenable(self.ratio):
@@ -331,63 +378,77 @@ class FluxRegister:
         self.fine_ba = fine_ba
         self.cba = coarsened_layout(fine_ba, self.ratio)
         self.dim = fine_ba.dim
-        self.patches = {}
-        for k, fc in enumerate(self.cba):
+        slabs = []
+        for fc in self.cba:
             for d in range(self.dim):
-                for side in ("lo", "hi"):
-                    plane = fc.lo[d] if side == "lo" else fc.hi[d] + 1
+                for cell in (fc.lo[d] - 1, fc.hi[d] + 1):
                     lo = list(fc.lo)
                     hi = list(fc.hi)
-                    lo[d] = hi[d] = plane
-                    fbox = Box(IntVect(lo), IntVect(hi), IndexType.face(self.dim, d))
-                    self.patches[(k, d, side)] = {
-                        "face_box": fbox,
-                        "data": np.zeros((self.ncomp,) + tuple(fbox.extents())),
-                    }
+                    lo[d] = hi[d] = cell
+                    slabs.append(Box(IntVect(lo), IntVect(hi)))
+        owners = [fine_dm[k] for k in range(len(fine_ba)) for _ in range(2 * self.dim)]
+        self.reg = FabArray(
+            BoxArray(slabs, IndexType.cell(self.dim), validate=False),
+            DistributionMapping(owners, fine_dm.nranks),
+            self.ncomp,
+        )
+
+    def _patch(self, k, d, side):
+        return (k * self.dim + d) * 2 + side
 
     def zero(self):
-        for p in self.patches.values():
-            p["data"][...] = 0.0
+        self.reg.setval(0.0)
         return self
 
-    @staticmethod
-    def _face_slice(region, face_box, lead=True):
-        idx = tuple(
-            slice(region.lo[d] - face_box.lo[d], region.hi[d] - face_box.lo[d] + 1)
-            for d in range(region.dim)
-        )
-        return ((slice(None),) + idx) if lead else idx
-
-    def crse_add(self, crse_fluxes, crse_ba, domain, scale=1.0):
+    def crse_add(self, crse_fluxes, transport, domain, scale=1.0):
         """Subtract coarse face fluxes (times scale) on every register face.
 
-        crse_fluxes maps coarse box index -> per-dimension face arrays of
-        shape (ncomp, extents + 1 in that dimension).  A face plane shared
-        by two coarse boxes is read once, from the box owning the cell on
-        the face's high side (domain-top planes read from the box below).
+        crse_fluxes holds one FabArray per dimension d on
+        face_layout(crse_ba, d), distributed like the coarse cells.  A face
+        plane shared by two coarse boxes is read once, from the box owning
+        the cell on the face's high side (domain-top planes read from the
+        box below).
         """
-        for (k, d, side), p in self.patches.items():
-            pf = p["face_box"]
-            for ci, flux_list in sorted(crse_fluxes.items()):
-                cbox = crse_ba[ci]
-                fb_ci = cbox.convert(IndexType.face(self.dim, d))
-                owned_hi = list(fb_ci.hi)
-                if cbox.hi[d] != domain.hi[d]:
-                    owned_hi[d] -= 1
-                owned = Box(fb_ci.lo, IntVect(owned_hi), fb_ci.ixtype)
-                region = pf.intersect(owned)
-                if region.is_empty():
-                    continue
-                flux = flux_list[d]
-                p["data"][self._face_slice(region, pf)] -= scale * flux[
-                    self._face_slice(region, fb_ci)
-                ]
+        if len(crse_fluxes) != self.dim:
+            raise ValueError(f"expected {self.dim} flux FabArrays, got {len(crse_fluxes)}")
+
+        def combine(dst, src, rec):
+            dst -= scale * src
+
+        for d, flux in enumerate(crse_fluxes):
+            if flux.ncomp != self.ncomp:
+                raise ValueError("component count mismatch")
+            key = _plan_key(
+                "crse_add", (self.fine_ba, flux.ba), self.ratio.coords, d, domain
+            )
+            plan = _cached_plan(key, lambda: self._build_crse_add(flux.ba, d, domain))
+            _execute_plan(plan, flux, self.reg, transport, combine)
+
+    def _build_crse_add(self, flux_ba, d, domain):
+        face = IndexType.face(self.dim, d)
+        records = []
+        for k in range(len(self.cba)):
+            for side in (0, 1):
+                p = self._patch(k, d, side)
+                slab = self.reg.ba[p]
+                # face index = outside cell index + off
+                off = IntVect(1 if (kk == d and side == 0) else 0 for kk in range(self.dim))
+                plane = Box(slab.lo + off, slab.hi + off, face)
+                for ci, ov in flux_ba.intersections(plane):
+                    # a box's top plane belongs to the box above it
+                    top = flux_ba[ci].hi[d]
+                    if ov.lo[d] == top and top != domain.hi[d] + 1:
+                        continue
+                    dst = Box(ov.lo - off, ov.hi - off)
+                    records.append(CopyRecord(ci, p, ov, dst, -off))
+        return CommPlan(records)
 
     def fine_add(self, k, fine_fluxes, scale=1.0):
         """Add the spatially averaged fine fluxes of fine box k, times scale.
 
         Call once per fine substep with scale = 1/nsubsteps to build the
-        time average across a coarse step.
+        time average across a coarse step.  Rank-local: fine box k and its
+        patches share a rank.
         """
         fb = self.fine_ba[k]
         for d in range(self.dim):
@@ -399,9 +460,9 @@ class FluxRegister:
                 raise ValueError(
                     f"fine flux for dim {d} has shape {flux.shape}, expected {want}"
                 )
-            for side in ("lo", "hi"):
-                p = self.patches[(k, d, side)]
-                local = 0 if side == "lo" else fb.extents()[d]
+            for side in (0, 1):
+                data = self.reg.fab(self._patch(k, d, side)).data
+                local = 0 if side == 0 else fb.extents()[d]
                 plane_idx = (slice(None),) + tuple(
                     local if kk == d else slice(None) for kk in range(self.dim)
                 )
@@ -415,32 +476,35 @@ class FluxRegister:
                     shape.extend([fb.extents()[kk] // self.ratio[kk], self.ratio[kk]])
                     axes.append(len(shape) - 1)
                 avg = plane.reshape(shape).mean(axis=tuple(axes)) if axes else plane
-                p["data"][...] += scale * avg.reshape(p["data"].shape)
+                data[...] += scale * avg.reshape(data.shape)
 
-    def reflux(self, crse, dt_over_dx, domain, periodic=None):
+    def reflux(self, crse, transport, dt_over_dx, domain, periodic=None):
         """Apply register corrections to adjacent uncovered coarse cells.
 
         dt_over_dx: scalar or per-dimension sequence (coarse dt over coarse
         cell size).  Cells covered by the fine level are untouched; the
         adjacent cell may wrap around periodic dimensions.
         """
-        from .fabarray import _normalize_periodic
-
         periodic = _normalize_periodic(periodic, self.dim)
         if np.isscalar(dt_over_dx):
             dt_over_dx = [float(dt_over_dx)] * self.dim
+        key = _plan_key(
+            "reflux", (self.fine_ba, crse.ba), self.ratio.coords, periodic, domain
+        )
+        plan = _cached_plan(key, lambda: self._build_reflux(crse.ba, domain, periodic))
+
+        def combine(dst, src, rec):
+            d = rec.src_index // 2 % self.dim
+            sign = 1.0 if rec.src_index % 2 else -1.0
+            dst += (sign * dt_over_dx[d]) * src
+
+        _execute_plan(plan, self.reg, crse, transport, combine)
+
+    def _build_reflux(self, crse_ba, domain, periodic):
         ext = domain.extents()
-        for (k, d, side), p in self.patches.items():
-            pf = p["face_box"]
-            fc = self.cba[k]
-            sign = -1.0 if side == "lo" else 1.0
-            cell_lo = list(pf.lo)
-            cell_hi = list(pf.hi)
-            if side == "lo":
-                cell_lo[d] = cell_hi[d] = fc.lo[d] - 1
-            else:
-                cell_lo[d] = cell_hi[d] = fc.hi[d] + 1
-            adj = Box(IntVect(cell_lo), IntVect(cell_hi))
+        records = []
+        for p, adj in enumerate(self.reg.ba):
+            d = p // 2 % self.dim
             shift = IntVect.zero(self.dim)
             if adj.lo[d] < domain.lo[d]:
                 if not periodic[d]:
@@ -450,8 +514,7 @@ class FluxRegister:
                 if not periodic[d]:
                     continue
                 shift = IntVect(-ext[kk] if kk == d else 0 for kk in range(self.dim))
-            wrapped = adj.shift(shift)
-            for ci, ov in crse.ba.intersections(wrapped):
+            for ci, ov in crse_ba.intersections(adj.shift(shift)):
                 pieces = [ov]
                 for _, cov in self.cba.intersections(ov):
                     nxt = []
@@ -459,14 +522,5 @@ class FluxRegister:
                         nxt.extend(box_diff(piece, cov))
                     pieces = nxt
                 for piece in pieces:
-                    face_region = piece.shift(-shift)
-                    fr_lo = list(face_region.lo)
-                    fr_hi = list(face_region.hi)
-                    if side == "lo":
-                        fr_lo[d] += 1
-                        fr_hi[d] += 1
-                    face_region = Box(IntVect(fr_lo), IntVect(fr_hi), pf.ixtype)
-                    vals = p["data"][self._face_slice(face_region, pf)]
-                    crse.fab(ci).slice(piece)[...] += (
-                        sign * dt_over_dx[d]
-                    ) * vals
+                    records.append(CopyRecord(p, ci, piece.shift(-shift), piece, shift))
+        return CommPlan(records, order=None)

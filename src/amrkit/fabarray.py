@@ -7,11 +7,15 @@ box; because every logical rank lives in this process, all Fabs are
 reachable, but data never crosses rank boundaries except through the
 Transport.
 
-Ghost exchange, inter-container copy and overlap summation share one
+Ghost exchange, inter-container copy, overlap summation, coarse/fine
+patch filling and flux-register refluxing (coarse_fine) share one
 machinery: a cached CommPlan of copy records, executed in two phases
 (stage every source value, then apply records in one global order).  The
 global order makes results bit-identical no matter how boxes are spread
-over ranks.
+over ranks.  Plans are cached per layout uid and evicted when a layout
+they key on is garbage collected, so the cache holds plans for live
+layouts only.  Execution checks that every remote message the plan
+expects arrives exactly once and that no other message does.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ import threading
 import numpy as np
 
 from . import counters
+from .boxarray import on_free
 from .index_space import Box, IntVect, box_diff
+from .transport import TransportError
 
 
 class Fab:
@@ -167,12 +173,17 @@ def tiles_of(box, tile_size):
 
 
 class CopyRecord:
-    """One congruent box-to-box copy: src cell c maps to dst cell c + shift."""
+    """One congruent box-to-box copy: src cell c maps to dst cell c + shift.
+
+    Only coordinates must agree: the flux register copies face-typed coarse
+    fluxes into registers indexed by the adjacent (cell-typed) coarse cell.
+    """
 
     __slots__ = ("src_index", "dst_index", "src_box", "dst_box", "shift")
 
     def __init__(self, src_index, dst_index, src_box, dst_box, shift):
-        assert dst_box == src_box.shift(shift)
+        moved = src_box.shift(shift)
+        assert (dst_box.lo, dst_box.hi) == (moved.lo, moved.hi)
         self.src_index = src_index
         self.dst_index = dst_index
         self.src_box = src_box
@@ -189,12 +200,17 @@ class CopyRecord:
 
 
 class CommPlan:
-    """An ordered list of copy records; the order is the apply order."""
+    """An ordered list of copy records; the order is the apply order.
+
+    Records are sorted by order (CopyRecord.sort_key by default); with
+    order=None they are kept as given, for plans whose records add to the
+    same cell more than once in a sequence that fixes the result's bytes.
+    """
 
     __slots__ = ("records",)
 
-    def __init__(self, records):
-        self.records = sorted(records, key=CopyRecord.sort_key)
+    def __init__(self, records, order=CopyRecord.sort_key):
+        self.records = list(records) if order is None else sorted(records, key=order)
 
     def __len__(self):
         return len(self.records)
@@ -209,7 +225,24 @@ class CommPlan:
 
 
 _plan_cache = {}
-_plan_lock = threading.Lock()
+# reentrant: eviction runs from finalizers, which a garbage collection may
+# start while this thread already holds the lock
+_plan_lock = threading.RLock()
+
+
+def _evict_plans(uid):
+    with _plan_lock:
+        for key in list(_plan_cache):
+            if uid in key[1]:
+                _plan_cache.pop(key, None)
+
+
+def _plan_key(kind, layouts, *params):
+    """Cache key (kind, layout uids, *params); the entry it keys is evicted
+    once any of the layouts is garbage collected."""
+    for ba in layouts:
+        on_free(ba, _evict_plans)
+    return (kind, tuple(ba.uid for ba in layouts)) + params
 
 
 def plan_cache_clear():
@@ -255,7 +288,7 @@ def build_plan_fill_boundary(ba, ngrow, domain, periodic=None):
     """Records filling each box's ghost region from other boxes' valid cells
     (periodic images included); cached per (layout, ngrow, wrap, domain)."""
     periodic = _normalize_periodic(periodic, ba.dim)
-    key = ("fill", ba.uid, ngrow, periodic, domain)
+    key = _plan_key("fill", (ba,), ngrow, periodic, domain)
     return _cached_plan(key, lambda: _build_fill(ba, ngrow, domain, periodic))
 
 
@@ -284,7 +317,7 @@ def build_plan_copy(dst_ba, src_ba, domain=None, periodic=None):
     periodic = _normalize_periodic(periodic, dst_ba.dim)
     if any(periodic) and domain is None:
         raise ValueError("periodic copy needs the domain box")
-    key = ("copy", dst_ba.uid, src_ba.uid, periodic, domain)
+    key = _plan_key("copy", (dst_ba, src_ba), periodic, domain)
     return _cached_plan(key, lambda: _build_copy(dst_ba, src_ba, domain, periodic))
 
 
@@ -305,7 +338,7 @@ def _build_copy(dst_ba, src_ba, domain, periodic):
 def build_plan_sum_boundary(ba, ngrow, domain, periodic=None):
     """Transpose of the fill plan: ghost regions flow back onto valid cells."""
     periodic = _normalize_periodic(periodic, ba.dim)
-    key = ("sum", ba.uid, ngrow, periodic, domain)
+    key = _plan_key("sum", (ba,), ngrow, periodic, domain)
 
     def build():
         fill = _build_fill(ba, ngrow, domain, periodic)
@@ -325,12 +358,17 @@ def build_plan_sum_boundary(ba, ngrow, domain, periodic=None):
 
 def _execute_plan(plan, src_fa, dst_fa, transport, combine):
     """Two-phase execution: stage every source slice, then apply records in
-    plan order.  Remote slices ride one aggregated buffer per rank pair."""
+    plan order as combine(dst_view, src_values, record).  Remote slices ride
+    one aggregated buffer per rank pair, tagged with its record ids.
+
+    Raises TransportError when a remote message the plan expects does not
+    arrive, arrives twice, or a message it does not expect is drained."""
     nranks = transport.nranks
     if src_fa.dm.nranks != nranks or dst_fa.dm.nranks != nranks:
         raise ValueError("transport rank count differs from the distribution maps")
     groups = plan.pairs(src_fa.dm, dst_fa.dm)
-    staged = {}
+    staged = [None] * len(plan)
+    expected = {}
     # local records stage by direct copy; remote ones pack one buffer per pair
     for (sr, dr), rids in sorted(groups.items()):
         if sr == dr:
@@ -344,9 +382,13 @@ def _execute_plan(plan, src_fa, dst_fa, transport, combine):
                 .ravel()
                 for rid in rids
             ]
-            transport.send(sr, dr, tuple(rids), np.concatenate(parts))
+            tag = tuple(rids)
+            expected[(sr, dr)] = tag
+            transport.send(sr, dr, tag, np.concatenate(parts))
     for dr in range(nranks):
         for sr, rids, buf in transport.drain(dr):
+            if expected.pop((sr, dr), None) != rids:
+                raise TransportError(sr, dr, "unexpected or duplicated message")
             offset = 0
             for rid in rids:
                 rec = plan.records[rid]
@@ -356,9 +398,11 @@ def _execute_plan(plan, src_fa, dst_fa, transport, combine):
                 offset += n
             if offset != buf.size:
                 raise ValueError("buffer size mismatch while unpacking")
+    if expected:
+        sr, dr = min(expected)
+        raise TransportError(sr, dr, f"{len(expected)} expected message(s) never arrived")
     for rid, rec in enumerate(plan.records):
-        if rid in staged:
-            combine(dst_fa.fab(rec.dst_index).slice(rec.dst_box), staged[rid])
+        combine(dst_fa.fab(rec.dst_index).slice(rec.dst_box), staged[rid], rec)
 
 
 def fill_boundary(fa, transport, domain, periodic=None):
@@ -368,7 +412,7 @@ def fill_boundary(fa, transport, domain, periodic=None):
         return
     plan = build_plan_fill_boundary(fa.ba, fa.ngrow, domain, periodic)
 
-    def combine(dst, src):
+    def combine(dst, src, rec):
         dst[...] = src
 
     _execute_plan(plan, fa, fa, transport, combine)
@@ -382,7 +426,7 @@ def parallel_copy(dst_fa, src_fa, transport, domain=None, periodic=None):
         )
     plan = build_plan_copy(dst_fa.ba, src_fa.ba, domain, periodic)
 
-    def combine(dst, src):
+    def combine(dst, src, rec):
         dst[...] = src
 
     _execute_plan(plan, src_fa, dst_fa, transport, combine)
@@ -397,7 +441,7 @@ def sum_boundary(fa, transport, domain, periodic=None):
         return
     plan = build_plan_sum_boundary(fa.ba, fa.ngrow, domain, periodic)
 
-    def combine(dst, src):
+    def combine(dst, src, rec):
         dst[...] += src
 
     _execute_plan(plan, fa, fa, transport, combine)

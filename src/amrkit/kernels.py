@@ -90,15 +90,19 @@ def gather_cic(pos, plo, dxinv, arr_lo, grid):
 
 def _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2):
     """Unsorted (i < j) pairs within sqrt(cutoff2) from the 3**D bins around
-    each particle.  One pass per bin offset handles every bin at once: each
+    each particle.  A half stencil visits every unordered pair of bins once:
+    the own bin, keeping i < j, and the (3**D - 1) / 2 forward offsets, those
+    whose first nonzero component is positive, ordering each pair as
+    (min, max).  One pass per offset handles every bin at once: each
     particle in a bin is paired with the whole neighbour bin's slice of
-    order, so every (bin, neighbour bin) pair is visited exactly once."""
+    order."""
     dim = pos.shape[1]
     out = []
     offsets = np.stack(
         np.meshgrid(*([np.array([-1, 0, 1])] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
-    for off in offsets:
+    lead = offsets[np.arange(len(offsets)), np.argmax(offsets != 0, axis=1)]
+    for off in offsets[lead >= 0]:
         nc = cell + off
         inside = np.all((nc >= 0) & (nc < nbins), axis=1)
         src = np.nonzero(inside)[0]
@@ -112,8 +116,11 @@ def _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2
         within = np.arange(total, dtype=np.int64) - np.repeat(first, cnt)
         gi = np.repeat(src, cnt)
         gj = order[np.repeat(bin_start[nb], cnt) + within]
-        keep = gi < gj
-        gi, gj = gi[keep], gj[keep]
+        if off.any():
+            gi, gj = np.minimum(gi, gj), np.maximum(gi, gj)
+        else:
+            keep = gi < gj
+            gi, gj = gi[keep], gj[keep]
         d2 = np.zeros(gi.shape[0])
         for d in range(dim):
             dd = pos[gi, d] - pos[gj, d]

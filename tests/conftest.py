@@ -9,6 +9,7 @@ import pytest
 
 from amrkit.boxarray import BoxArray
 from amrkit.index_space import Box, IntVect
+from amrkit.transport import Transport
 
 
 @pytest.fixture
@@ -58,6 +59,28 @@ def global_index(domain, b):
         slice(b.lo[d] - domain.lo[d], b.hi[d] - domain.lo[d] + 1)
         for d in range(b.dim)
     )
+
+
+class FaultyTransport(Transport):
+    """Transport that drops or duplicates the message with index `at`
+    (counting every send), for delivery fault-injection tests."""
+
+    def __init__(self, nranks, fault, at=0):
+        super().__init__(nranks)
+        if fault not in ("drop", "duplicate"):
+            raise ValueError(f"unknown fault {fault!r}")
+        self.fault = fault
+        self.at = at
+        self.sent = 0
+
+    def send(self, src, dst, tag, payload):
+        hit = self.sent == self.at
+        self.sent += 1
+        if hit and self.fault == "drop":
+            return
+        super().send(src, dst, tag, payload)
+        if hit and self.fault == "duplicate":
+            super().send(src, dst, tag, payload)
 
 
 ACCEPTANCE_REPORT = []

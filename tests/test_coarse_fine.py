@@ -1,9 +1,12 @@
 """Coarse/fine coupling: interpolation accuracy, restriction, fill_patch
 composition, and conservation under refluxing."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from amrkit import coarse_fine, counters, fabarray
 from amrkit.advect import AdvectionSolver, solver_from_config
 from amrkit.amr_core import Geometry, GridGenParams
 from amrkit.boxarray import BoxArray
@@ -11,6 +14,7 @@ from amrkit.coarse_fine import (
     FluxRegister,
     average_down,
     coarsened_layout,
+    face_layout,
     fill_patch,
     interp_c2f,
     interp_to_fine,
@@ -18,11 +22,11 @@ from amrkit.coarse_fine import (
 )
 from amrkit.config import Config
 from amrkit.distribution import DistributionMapping, default_costs, sfc_distribute
-from amrkit.fabarray import FabArray, fill_boundary
-from amrkit.index_space import Box, IntVect
-from amrkit.transport import Transport
+from amrkit.fabarray import FabArray, fill_boundary, gather_global
+from amrkit.index_space import Box, IndexType, IntVect, box_diff
+from amrkit.transport import Transport, TransportError
 
-from conftest import fill_from_global
+from conftest import FaultyTransport, fill_from_global, random_cover
 
 
 def _single(ba, ncomp=1, ngrow=0, nranks=1):
@@ -211,3 +215,303 @@ def test_advection_identical_across_rank_counts():
         )
     assert np.array_equal(results[0], results[1])
     assert np.array_equal(results[0], results[2])
+
+
+# ---------------------------------------------------------------------------
+# flux register against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+class BruteForceFluxRegister:
+    """The per-step flux register: every crse_add intersects every patch
+    with every coarse box, and reflux redoes its box algebra, writing
+    straight into the coarse fabs.  Patches are face-typed, keyed
+    (k, d, side)."""
+
+    def __init__(self, fine_ba, ratio, ncomp=1):
+        self.ratio = ratio
+        self.ncomp = ncomp
+        self.fine_ba = fine_ba
+        self.cba = fine_ba.coarsen(ratio)
+        self.dim = fine_ba.dim
+        self.patches = {}
+        for k, fc in enumerate(self.cba):
+            for d in range(self.dim):
+                for side in ("lo", "hi"):
+                    plane = fc.lo[d] if side == "lo" else fc.hi[d] + 1
+                    lo = list(fc.lo)
+                    hi = list(fc.hi)
+                    lo[d] = hi[d] = plane
+                    fbox = Box(IntVect(lo), IntVect(hi), IndexType.face(self.dim, d))
+                    self.patches[(k, d, side)] = {
+                        "face_box": fbox,
+                        "data": np.zeros((ncomp,) + tuple(fbox.extents())),
+                    }
+
+    @staticmethod
+    def _face_slice(region, face_box):
+        return (slice(None),) + tuple(
+            slice(region.lo[d] - face_box.lo[d], region.hi[d] - face_box.lo[d] + 1)
+            for d in range(region.dim)
+        )
+
+    def crse_add(self, crse_fluxes, crse_ba, domain, scale=1.0):
+        for (k, d, side), p in self.patches.items():
+            pf = p["face_box"]
+            for ci, flux_list in sorted(crse_fluxes.items()):
+                cbox = crse_ba[ci]
+                fb_ci = cbox.convert(IndexType.face(self.dim, d))
+                owned_hi = list(fb_ci.hi)
+                if cbox.hi[d] != domain.hi[d]:
+                    owned_hi[d] -= 1
+                owned = Box(fb_ci.lo, IntVect(owned_hi), fb_ci.ixtype)
+                region = pf.intersect(owned)
+                if region.is_empty():
+                    continue
+                p["data"][self._face_slice(region, pf)] -= scale * flux_list[d][
+                    self._face_slice(region, fb_ci)
+                ]
+
+    def fine_add(self, k, fine_fluxes, scale=1.0):
+        fb = self.fine_ba[k]
+        for d in range(self.dim):
+            flux = fine_fluxes[d]
+            for side in ("lo", "hi"):
+                p = self.patches[(k, d, side)]
+                local = 0 if side == "lo" else fb.extents()[d]
+                plane = flux[(slice(None),) + tuple(
+                    local if kk == d else slice(None) for kk in range(self.dim)
+                )]
+                shape = [self.ncomp]
+                axes = []
+                for kk in range(self.dim):
+                    if kk == d:
+                        continue
+                    shape.extend([fb.extents()[kk] // self.ratio[kk], self.ratio[kk]])
+                    axes.append(len(shape) - 1)
+                avg = plane.reshape(shape).mean(axis=tuple(axes)) if axes else plane
+                p["data"][...] += scale * avg.reshape(p["data"].shape)
+
+    def reflux(self, crse, dt_over_dx, domain, periodic):
+        ext = domain.extents()
+        for (k, d, side), p in self.patches.items():
+            pf = p["face_box"]
+            fc = self.cba[k]
+            sign = -1.0 if side == "lo" else 1.0
+            cell_lo = list(pf.lo)
+            cell_hi = list(pf.hi)
+            if side == "lo":
+                cell_lo[d] = cell_hi[d] = fc.lo[d] - 1
+            else:
+                cell_lo[d] = cell_hi[d] = fc.hi[d] + 1
+            adj = Box(IntVect(cell_lo), IntVect(cell_hi))
+            shift = IntVect.zero(self.dim)
+            if adj.lo[d] < domain.lo[d]:
+                if not periodic[d]:
+                    continue
+                shift = IntVect(ext[kk] if kk == d else 0 for kk in range(self.dim))
+            elif adj.hi[d] > domain.hi[d]:
+                if not periodic[d]:
+                    continue
+                shift = IntVect(-ext[kk] if kk == d else 0 for kk in range(self.dim))
+            for ci, ov in crse.ba.intersections(adj.shift(shift)):
+                pieces = [ov]
+                for _, cov in self.cba.intersections(ov):
+                    nxt = []
+                    for piece in pieces:
+                        nxt.extend(box_diff(piece, cov))
+                    pieces = nxt
+                for piece in pieces:
+                    face_region = piece.shift(-shift)
+                    fr_lo = list(face_region.lo)
+                    fr_hi = list(face_region.hi)
+                    if side == "lo":
+                        fr_lo[d] += 1
+                        fr_hi[d] += 1
+                    face_region = Box(IntVect(fr_lo), IntVect(fr_hi), pf.ixtype)
+                    vals = p["data"][self._face_slice(face_region, pf)]
+                    crse.fab(ci).slice(piece)[...] += (sign * dt_over_dx[d]) * vals
+
+
+def _fine_region(rng, cdomain):
+    """Disjoint coarse-resolution boxes: a random box plus what two more
+    random boxes add to it, so the union is often L-shaped; edges touch
+    the domain boundary often enough to exercise periodic wrap."""
+    dim = cdomain.dim
+    n = cdomain.extents()[0]
+    boxes = []
+    for _ in range(3):
+        lo = [int(rng.integers(0, n - 2)) for _ in range(dim)]
+        hi = [min(l + int(rng.integers(1, n // 2)), n - 1) for l in lo]
+        if rng.integers(0, 3) == 0:
+            # slide the box against the low or high domain edge
+            d = int(rng.integers(dim))
+            width = hi[d] - lo[d]
+            lo[d] = 0 if rng.integers(0, 2) else n - 1 - width
+            hi[d] = lo[d] + width
+        pieces = [Box(IntVect(lo), IntVect(hi))]
+        for b in boxes:
+            pieces = [q for piece in pieces for q in box_diff(piece, b)]
+        boxes.extend(pieces)
+    return boxes
+
+
+def _register_case(rng, dim, n, fine_boxes, nranks, ncomp):
+    ratio = IntVect((2,) * dim)
+    cdomain = Box(IntVect.zero(dim), IntVect((n - 1,) * dim))
+    crse_ba = random_cover(rng, cdomain, nsplits=int(rng.integers(2, 7)))
+    fine_ba = BoxArray([b.refine(ratio) for b in fine_boxes])
+    crse_dm = DistributionMapping(rng.integers(0, nranks, len(crse_ba)), nranks)
+    fine_dm = DistributionMapping(rng.integers(0, nranks, len(fine_ba)), nranks)
+    periodic = tuple(bool(rng.integers(0, 2)) for _ in range(dim))
+    new = FluxRegister(fine_ba, fine_dm, ratio, ncomp)
+    ref = BruteForceFluxRegister(fine_ba, ratio, ncomp)
+    tr = Transport(nranks)
+    new.zero()
+    flux = [FabArray(face_layout(crse_ba, d), crse_dm, ncomp) for d in range(dim)]
+    for d in range(dim):
+        for ci in range(len(crse_ba)):
+            flux[d].fab(ci).data[...] = rng.normal(size=flux[d].fab(ci).data.shape)
+    new.crse_add(flux, tr, cdomain, scale=0.7)
+    ref.crse_add(
+        {ci: [flux[d].fab(ci).data for d in range(dim)] for ci in range(len(crse_ba))},
+        crse_ba,
+        cdomain,
+        scale=0.7,
+    )
+    for _ in range(2):
+        for k, fb in enumerate(fine_ba):
+            fl = [
+                rng.normal(size=(ncomp,) + tuple(
+                    fb.extents()[kk] + (kk == d) for kk in range(dim)
+                ))
+                for d in range(dim)
+            ]
+            new.fine_add(k, fl, scale=0.5)
+            ref.fine_add(k, fl, scale=0.5)
+    for (k, d, side), p in ref.patches.items():
+        got = new.reg.fab((k * dim + d) * 2 + (side == "hi")).data
+        assert got.tobytes() == p["data"].tobytes()
+    crse_new = FabArray(crse_ba, crse_dm, ncomp, 1)
+    crse_ref = FabArray(crse_ba, crse_dm, ncomp, 1)
+    for ci in range(len(crse_ba)):
+        vals = rng.normal(size=crse_new.fab(ci).data.shape)
+        crse_new.fab(ci).data[...] = vals
+        crse_ref.fab(ci).data[...] = vals
+    dtdx = [float(x) for x in rng.uniform(0.1, 0.9, dim)]
+    new.reflux(crse_new, tr, dtdx, cdomain, periodic)
+    ref.reflux(crse_ref, dtdx, cdomain, periodic)
+    for ci in range(len(crse_ba)):
+        assert crse_new.fab(ci).data.tobytes() == crse_ref.fab(ci).data.tobytes()
+    assert tr.pending() == 0
+    # how often the plan adds twice to one coarse cell, and wraps around
+    key = fabarray._plan_key("reflux", (fine_ba, crse_ba), ratio.coords, periodic, cdomain)
+    plan = fabarray._plan_cache[key]
+    seen = {}
+    for rec in plan.records:
+        for c in rec.dst_box.cells():
+            seen[c] = seen.get(c, 0) + 1
+    repeats = sum(1 for v in seen.values() if v > 1)
+    wraps = sum(1 for rec in plan.records if any(rec.shift.coords))
+    return repeats, wraps
+
+
+def test_flux_register_matches_brute_force():
+    # the plan-based register equals the per-step one byte for byte on
+    # random layouts, including cells refluxed twice and periodic wrap
+    rng = np.random.default_rng(31)
+    totals = {2: [0, 0], 3: [0, 0]}
+    for dim, n, trials in ((2, 16, 12), (3, 8, 6)):
+        cdomain = Box(IntVect.zero(dim), IntVect((n - 1,) * dim))
+        for _ in range(trials):
+            repeats, wraps = _register_case(
+                rng, dim, n, _fine_region(rng, cdomain),
+                nranks=int(rng.integers(1, 5)), ncomp=int(rng.integers(1, 3)),
+            )
+            totals[dim][0] += repeats
+            totals[dim][1] += wraps
+    # a concave corner: the cell at (8, 6) borders both fine boxes
+    l_shape = [Box(IntVect(4, 4), IntVect(7, 7)), Box(IntVect(8, 4), IntVect(11, 5))]
+    repeats, _ = _register_case(rng, 2, 16, l_shape, nranks=3, ncomp=1)
+    assert repeats >= 1
+    for dim in (2, 3):
+        assert totals[dim][0] > 0 and totals[dim][1] > 0, totals
+
+
+def _levels(solver):
+    hier = solver.hier
+    out = []
+    for lev in range(hier.finest_level + 1):
+        fa = hier.field("phi", lev)
+        out.append(([(b.lo.coords, b.hi.coords) for b in fa.ba],
+                    gather_global(fa, hier.geom(lev).domain)))
+    return out
+
+
+def test_refluxed_advection_with_regrid_rank_invariant_and_routed(monkeypatch):
+    # both levels are bitwise equal for R = 1, 2, 4 with a regrid every 4
+    # steps; at R = 4 flux-register data moves through the transport, at
+    # R = 1 it never does, and no plan is built between regrids
+    traffic = {"crse_add": 0, "reflux": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            before = counters.get("transport_messages")
+            out = fn(*args, **kwargs)
+            traffic[name] += counters.get("transport_messages") - before
+            return out
+        return wrapped
+
+    monkeypatch.setattr(FluxRegister, "crse_add", counting("crse_add", FluxRegister.crse_add))
+    monkeypatch.setattr(FluxRegister, "reflux", counting("reflux", FluxRegister.reflux))
+    cfg = Config({"adv.dim": "2", "adv.ncells": "32", "adv.velocity": "0.7 -0.3",
+                  "adv.regrid_interval": "4"})
+    results = {}
+    for nranks in (1, 2, 4):
+        solver = solver_from_config(cfg, nranks=nranks)
+        for key in traffic:
+            traffic[key] = 0
+        for step in range(1, 17):
+            built = counters.get("plans_built")
+            solver.step()
+            if step % 4 in (2, 3):
+                assert counters.get("plans_built") == built, step
+        assert solver.hier.finest_level == 1
+        results[nranks] = _levels(solver)
+        if nranks == 1:
+            assert traffic == {"crse_add": 0, "reflux": 0}
+        if nranks == 4:
+            assert traffic["crse_add"] > 0 and traffic["reflux"] > 0, traffic
+    for nranks in (2, 4):
+        for (ba1, g1), (ba, g) in zip(results[1], results[nranks]):
+            assert ba1 == ba
+            assert g1.tobytes() == g.tobytes()
+
+
+def test_plan_caches_bounded_over_regrids():
+    # plan-cache and layout-memo entries die with the layouts they key on
+    cfg = Config({"adv.dim": "2", "adv.ncells": "32", "adv.velocity": "0.7 -0.3"})
+    solver = solver_from_config(cfg, nranks=2)
+    sizes = {}
+    for regrid in range(1, 101):
+        solver.regrid()
+        solver.step()
+        gc.collect()
+        if regrid in (10, 100):
+            assert solver.hier.finest_level == 1
+            sizes[regrid] = (len(fabarray._plan_cache), len(coarse_fine._layout_memo))
+    assert sizes[10] == sizes[100]
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate"])
+def test_reflux_raises_on_bad_delivery(fault):
+    cfg = Config({"adv.dim": "2", "adv.ncells": "32", "adv.velocity": "0.7 -0.3"})
+    solver = solver_from_config(cfg, nranks=4)
+    solver.step()
+    fr = solver.fluxreg
+    phi_c = solver.hier.field("phi", 0)
+    geom = solver.hier.geom(0)
+    tr = FaultyTransport(4, fault, at=0)
+    with pytest.raises(TransportError):
+        fr.reflux(phi_c, tr, 0.1, geom.domain, geom.periodic)
+    assert tr.sent > 0

@@ -21,9 +21,9 @@ from amrkit.fabarray import (
     sum_boundary,
 )
 from amrkit.index_space import Box, IntVect
-from amrkit.transport import Transport
+from amrkit.transport import Transport, TransportError
 
-from conftest import fill_from_global, global_index, random_cover
+from conftest import FaultyTransport, fill_from_global, global_index, random_cover
 
 
 def _global_field(rng, domain, ncomp):
@@ -218,3 +218,25 @@ def test_plan_reuse_on_same_layout(rng):
     built_once = counters.get("plans_built")
     fill_boundary(fa, tr, domain, (True, True))
     assert counters.get("plans_built") == built_once
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate"])
+def test_fill_boundary_raises_on_bad_delivery(rng, fault):
+    # a lost message would leave stale ghosts, a duplicate would go unseen
+    nranks = 4
+    domain, fa = _make(rng, 2, nranks, n=24)
+    fill_from_global(fa, domain, _global_field(rng, domain, fa.ncomp))
+    fill_boundary(fa, Transport(nranks), domain, (True, True))
+    tr = FaultyTransport(nranks, fault, at=1)
+    with pytest.raises(TransportError):
+        fill_boundary(fa, tr, domain, (True, True))
+    assert tr.sent > 1
+
+
+def test_stray_message_raises(rng):
+    nranks = 2
+    domain, fa = _make(rng, 2, nranks, n=16)
+    tr = Transport(nranks)
+    tr.send(1, 0, "stray", np.zeros(1))
+    with pytest.raises(TransportError):
+        fill_boundary(fa, tr, domain, (True, True))
