@@ -8,6 +8,13 @@ maximum box extent, so a query the size of a box (or a box grown by a few
 ghost cells) touches at most 3 bins per dimension no matter how many boxes
 the collection holds.
 
+Next to the Box tuple a layout keeps an array form, an ``(N, 2, D)`` int64
+array of lo/hi corners built on first use, and ``owners_at`` answers many
+point queries at once from it: bin keys are computed in numpy, looked up
+in the hash's sorted key array and tested for containment in one pass, so
+locating particles makes no per-point Python objects.  ``owner_at`` is
+its one-point form.
+
 Layouts are immutable and identified by a process-unique uid, so caches
 key derived data (communication plans, coarsened layouts) on uids.
 ``on_free`` ties such entries to the lifetime of the layouts they key on.
@@ -18,6 +25,8 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
+
+import numpy as np
 
 from . import counters
 from .index_space import Box, IndexType, IntVect, box_diff
@@ -55,7 +64,7 @@ def _fire(tag):
 class BoxArray:
     """An ordered collection of pairwise-disjoint boxes of one index type."""
 
-    __slots__ = ("boxes", "ixtype", "uid", "_hash", "_hash_lock", "__weakref__")
+    __slots__ = ("boxes", "ixtype", "uid", "_hash", "_bounds", "_hash_lock", "__weakref__")
 
     def __init__(self, boxes, ixtype=None, validate=True):
         boxes = tuple(boxes)
@@ -68,6 +77,7 @@ class BoxArray:
         with _uid_lock:
             object.__setattr__(self, "uid", next(_uid_next))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_bounds", None)
         object.__setattr__(self, "_hash_lock", threading.Lock())
         for b in boxes:
             if b.ixtype != ixtype:
@@ -197,6 +207,18 @@ class BoxArray:
                     object.__setattr__(self, "_hash", BoxHash(self))
         return self._hash
 
+    def bounds(self):
+        """Read-only (N, 2, D) int64 array: row i holds box i's lo and hi."""
+        if self._bounds is None:
+            with self._hash_lock:
+                if self._bounds is None:
+                    arr = np.array(
+                        [(b.lo.coords, b.hi.coords) for b in self.boxes], dtype=np.int64
+                    ).reshape(len(self.boxes), 2, self.dim)
+                    arr.flags.writeable = False
+                    object.__setattr__(self, "_bounds", arr)
+        return self._bounds
+
     def intersections(self, q):
         """All (box_index, overlap) pairs where a member meets q; hash-backed."""
         if q.ixtype != self.ixtype:
@@ -210,14 +232,35 @@ class BoxArray:
                 out.append((i, overlap))
         return out
 
+    def owners_at(self, cells):
+        """Index of the box containing each row of an (n, D) int array, or -1.
+
+        Each point examines exactly one hash bin.  Where boxes share faces
+        (nodal layouts), the lowest containing index wins.
+        """
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, self.dim)
+        out = np.full(cells.shape[0], -1, dtype=np.int64)
+        if not self.boxes or cells.shape[0] == 0:
+            return out
+        rows, cands = self._get_hash().point_candidates(cells)
+        b = self.bounds()
+        inside = np.ones(rows.shape[0], dtype=bool)
+        for d in range(self.dim):
+            p = cells[rows, d]
+            inside &= (p >= b[cands, 0, d]) & (p <= b[cands, 1, d])
+        rows = rows[inside]
+        cands = cands[inside]
+        # rows ascend and candidates within a row ascend, so the first
+        # containing candidate of each row is its lowest index
+        first = np.ones(rows.shape[0], dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        out[rows[first]] = cands[first]
+        return out
+
     def owner_at(self, p):
         """Box index containing point p, or None; examines exactly one bin."""
-        if not self.boxes:
-            return None
-        for i in self._get_hash().candidates_at(p):
-            if self.boxes[i].contains(p):
-                return i
-        return None
+        g = int(self.owners_at(tuple(p))[0])
+        return None if g < 0 else g
 
     def contains_box(self, q):
         """True iff every cell of q lies inside some member box."""
@@ -275,21 +318,17 @@ class _BuiltHash:
     def candidates(self, q, count=True):
         seen = set()
         out = []
+        nbins = 0
         for key in self._keys_for(q):
-            if count:
-                counters.incr("hash_bins_examined")
+            nbins += 1
             for i in self.bins.get(key, ()):
                 if i not in seen:
                     seen.add(i)
                     out.append(i)
         if count:
+            counters.incr("hash_bins_examined", nbins)
             counters.incr("hash_queries")
         return out
-
-    def candidates_at(self, p):
-        counters.incr("hash_bins_examined")
-        counters.incr("hash_queries")
-        return self.bins.get(self._key_at(p), ())
 
 
 class BoxHash(_BuiltHash):
@@ -301,9 +340,49 @@ class BoxHash(_BuiltHash):
     to twice the bin size examines at most 3 bins per dimension.
     """
 
-    __slots__ = ()
+    __slots__ = ("_origin", "_size", "_shape", "_keys", "_starts", "_members")
 
     def __init__(self, ba):
         if not ba.boxes:
             raise ValueError("cannot hash an empty BoxArray")
         super().__init__(ba.boxes)
+        # flat form for batch point queries: occupied bins as sorted
+        # row-major keys over the bin lattice, members in CSR order
+        self._origin = np.array(self.origin.coords, dtype=np.int64)
+        self._size = np.array(self.bin_size.coords, dtype=np.int64)
+        keys = sorted(self.bins)
+        lattice = np.array(keys, dtype=np.int64)
+        self._shape = lattice.max(axis=0) + 1
+        self._keys = np.ravel_multi_index(lattice.T, self._shape)
+        lengths = [len(self.bins[k]) for k in keys]
+        self._starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        self._members = np.array(
+            [i for k in keys for i in self.bins[k]], dtype=np.int64
+        )
+
+    def point_candidates(self, cells):
+        """(row, box) pairs: every box registered in the bin of each cell
+        row, rows ascending, boxes in index order within a row.  Counts one
+        query and one examined bin per row."""
+        n = cells.shape[0]
+        counters.incr("hash_bins_examined", n)
+        counters.incr("hash_queries", n)
+        lin = np.zeros(n, dtype=np.int64)
+        ok = np.ones(n, dtype=bool)
+        for d in range(self.dim):
+            k = (cells[:, d] - self._origin[d]) // self._size[d]
+            ok &= (k >= 0) & (k < self._shape[d])
+            lin = lin * self._shape[d] + k
+        rows = np.flatnonzero(ok)
+        lin = lin[rows]
+        slot = np.minimum(np.searchsorted(self._keys, lin), self._keys.shape[0] - 1)
+        hit = self._keys[slot] == lin
+        rows = rows[hit]
+        slot = slot[hit]
+        lo = self._starts[slot]
+        count = self._starts[slot + 1] - lo
+        pair_rows = np.repeat(rows, count)
+        # member offset: the row's first slot plus the rank within the row
+        first = np.cumsum(count) - count
+        offs = np.repeat(lo - first, count) + np.arange(pair_rows.shape[0])
+        return pair_rows, self._members[offs]

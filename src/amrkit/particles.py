@@ -111,14 +111,34 @@ def _tile_counts(box, tsz):
     return tuple((ext[d] + tsz[d] - 1) // tsz[d] for d in range(box.dim))
 
 
-def _tile_ids_for_cells(box, tsz, cells):
-    """Linear tile id (row-major over the tile lattice) for each cell row."""
-    counts = _tile_counts(box, tsz)
-    lin = np.zeros(cells.shape[0], dtype=np.int64)
-    for d in range(box.dim):
-        t = (cells[:, d] - box.lo[d]) // tsz[d]
-        lin = lin * counts[d] + t
-    return lin
+def _tile_ids(pc, levels, grids, cells):
+    """Linear tile id (row-major over each grid's tile lattice) per row."""
+    tsz = np.asarray(pc.tile_size.coords, dtype=np.int64)
+    tids = np.zeros(cells.shape[0], dtype=np.int64)
+    for lev in range(pc.nlevels):
+        sel = np.flatnonzero(levels == lev)
+        b = pc.bas[lev].bounds()[grids[sel]]
+        lo = b[:, 0]
+        counts = (b[:, 1] - lo + tsz) // tsz
+        t = (cells[sel] - lo) // tsz
+        lin = np.zeros(sel.shape[0], dtype=np.int64)
+        for d in range(pc.dim):
+            lin = lin * counts[:, d] + t[:, d]
+        tids[sel] = lin
+    return tids
+
+
+def _runs(*keys):
+    """(starts, ends) of the runs of equal rows across sorted key columns."""
+    n = keys[0].shape[0]
+    if n == 0:
+        return [], []
+    change = np.zeros(n - 1, dtype=bool)
+    for k in keys:
+        change |= k[1:] != k[:-1]
+    starts = np.concatenate([[0], np.flatnonzero(change) + 1])
+    ends = np.concatenate([starts[1:], [n]])
+    return starts.tolist(), ends.tolist()
 
 
 def tile_box_of(box, tsz, tid):
@@ -260,28 +280,14 @@ class ParticleContainer:
 
 
 def _scatter(pc, aos, rdata, idata, levels, grids, cells):
-    tids = np.empty(len(aos), dtype=np.int64)
-    for lg in set(zip(levels.tolist(), grids.tolist())):
-        sel = (levels == lg[0]) & (grids == lg[1])
-        tids[sel] = _tile_ids_for_cells(pc.bas[lg[0]][lg[1]], pc.tile_size, cells[sel])
+    tids = _tile_ids(pc, levels, grids, cells)
     order = np.lexsort((tids, grids, levels))
-    touched = set()
-    i = 0
-    while i < len(order):
-        j = i
-        key = (int(levels[order[i]]), int(grids[order[i]]), int(tids[order[i]]))
-        while j < len(order) and (
-            int(levels[order[j]]),
-            int(grids[order[j]]),
-            int(tids[order[j]]),
-        ) == key:
-            j += 1
+    levels, grids, tids = levels[order], grids[order], tids[order]
+    for i, j in zip(*_runs(levels, grids, tids)):
         sel = order[i:j]
-        pc.tile(*key, create=True).extend(aos[sel], rdata[:, sel], idata[:, sel])
-        touched.add(key)
-        i = j
-    for key in touched:
-        pc.tiles[key].sort_by_id()
+        tile = pc.tile(levels[i], grids[i], tids[i], create=True)
+        tile.extend(aos[sel], rdata[:, sel], idata[:, sel])
+        tile.sort_by_id()
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +331,12 @@ def _locate_arrays(pc, pos, ids):
         if pending.size == 0:
             break
         c = _cells_at(pc.geoms[lev], w[pending])
-        ba = pc.bas[lev]
-        for row, idx in enumerate(pending):
-            g = ba.owner_at(IntVect(c[row]))
-            if g is not None:
-                levels[idx] = lev
-                grids[idx] = g
-                cells[idx] = c[row]
+        g = pc.bas[lev].owners_at(c)
+        hit = g >= 0
+        rows = pending[hit]
+        levels[rows] = lev
+        grids[rows] = g[hit]
+        cells[rows] = c[hit]
     if (levels < 0).any():
         bad = np.nonzero(levels < 0)[0]
         dom = pc.geoms[0].domain
@@ -355,24 +360,28 @@ def locate(pc, pos):
     return int(levels[0]), int(grids[0]), IntVect(cells[0])
 
 
+def _stored_keys(keys, sizes):
+    """Per-row (level, grid, tile) columns of tiles stored back to back."""
+    k = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    return tuple(np.repeat(k[:, c], sizes) for c in range(3))
+
+
 def check_locations(pc):
-    """Violations of `stored bucket == locate result` over every particle."""
-    bad = []
-    for key in pc.sorted_keys():
-        tile = pc.tiles[key]
-        if tile.size == 0:
-            continue
-        levels, grids, cells, _ = _locate_arrays(pc, tile.aos["pos"], tile.aos["id"])
-        tids = np.empty(tile.size, dtype=np.int64)
-        for i in range(tile.size):
-            tids[i] = _tile_ids_for_cells(
-                pc.bas[levels[i]][grids[i]], pc.tile_size, cells[i : i + 1]
-            )[0]
-        for i in range(tile.size):
-            expect = (int(levels[i]), int(grids[i]), int(tids[i]))
-            if expect != key:
-                bad.append((int(tile.aos["id"][i]), key, expect))
-    return bad
+    """Violations of `stored bucket == locate result` over every particle,
+    as (id, stored key, located key) in stored order."""
+    keys = [k for k in pc.sorted_keys() if pc.tiles[k].size]
+    if not keys:
+        return []
+    tiles = [pc.tiles[k] for k in keys]
+    ids = np.concatenate([t.aos["id"] for t in tiles])
+    levels, grids, cells, _ = _locate_arrays(
+        pc, np.concatenate([t.aos["pos"] for t in tiles]), ids
+    )
+    tids = _tile_ids(pc, levels, grids, cells)
+    slev, sgrid, stid = _stored_keys(keys, [t.size for t in tiles])
+    bad = np.flatnonzero((levels != slev) | (grids != sgrid) | (tids != stid))
+    cols = (ids, slev, sgrid, stid, levels, grids, tids)
+    return [(r[0], r[1:4], r[4:]) for r in zip(*(c[bad].tolist() for c in cols))]
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +407,10 @@ def redistribute(pc, transport=None, mode="global", k=None, subcycle=None):
     cells of their tile region.  Negative-id particles are dropped.  Tiles
     finish sorted by id, so the outcome is one canonical container no
     matter how many ranks took part.
+
+    Every particle to place is located in one batch; movers travel as one
+    block per (source tile, destination tile), in one message per rank
+    pair.  A position no level covers raises before any particle moves.
     """
     if mode not in ("local", "global"):
         raise ValueError("mode must be 'local' or 'global'")
@@ -429,9 +442,8 @@ def redistribute(pc, transport=None, mode="global", k=None, subcycle=None):
         band = int(subcycle.get("band", 0))
 
     pc.epoch += 1
-    outbox = {}
-    arrivals = []
-    moved = 0
+    # drop removed particles and empty tiles, and pick the rows to locate
+    keys, tiles, rows = [], [], []
     for key in pc.sorted_keys():
         lev, g, t = key
         tile = pc.tiles[key]
@@ -441,48 +453,61 @@ def redistribute(pc, transport=None, mode="global", k=None, subcycle=None):
         if tile.size == 0:
             del pc.tiles[key]
             continue
-        process = np.ones(tile.size, dtype=bool)
+        idx = np.arange(tile.size)
         if lev in sub_levels:
             cells = _cells_at(pc.geoms[lev], tile.aos["pos"])
             tbox = tile_box_of(pc.bas[lev][g], pc.tile_size, t).grow(band)
             stay = np.ones(tile.size, dtype=bool)
             for d in range(pc.dim):
                 stay &= (cells[:, d] >= tbox.lo[d]) & (cells[:, d] <= tbox.hi[d])
-            process &= ~stay
-        if not process.any():
-            continue
-        idx = np.nonzero(process)[0]
+            idx = idx[~stay]
+            if idx.size == 0:
+                continue
+        keys.append(key)
+        tiles.append(tile)
+        rows.append(idx)
+
+    outbox = {}
+    arrivals = []
+    moved = 0
+    if keys:
+        sizes = [r.size for r in rows]
         levels, grids, cells, wrapped = _locate_arrays(
-            pc, tile.aos["pos"][idx], tile.aos["id"][idx]
+            pc,
+            np.concatenate([t.aos["pos"][r] for t, r in zip(tiles, rows)]),
+            np.concatenate([t.aos["id"][r] for t, r in zip(tiles, rows)]),
         )
-        tile.aos["pos"][idx] = wrapped
-        tids = np.empty(idx.size, dtype=np.int64)
-        for lg in set(zip(levels.tolist(), grids.tolist())):
-            sel = (levels == lg[0]) & (grids == lg[1])
-            tids[sel] = _tile_ids_for_cells(
-                pc.bas[lg[0]][lg[1]], pc.tile_size, cells[sel]
-            )
-        moving = ~((levels == lev) & (grids == g) & (tids == t))
-        if not moving.any():
-            continue
-        move_rows = idx[moving]
-        aos, rdata, idata = tile.take(move_rows)
-        keep_mask = np.ones(tile.size, dtype=bool)
-        keep_mask[move_rows] = False
-        tile.keep(keep_mask)
-        src_rank = pc.dms[lev][g]
+        offsets = np.cumsum([0] + sizes).tolist()
+        for tile, r, a, b in zip(tiles, rows, offsets, offsets[1:]):
+            tile.aos["pos"][r] = wrapped[a:b]
+        tids = _tile_ids(pc, levels, grids, cells)
+        slev, sgrid, stid = _stored_keys(keys, sizes)
+        moving = np.flatnonzero((levels != slev) | (grids != sgrid) | (tids != stid))
+        moved = moving.size
+        src = np.repeat(np.arange(len(keys)), sizes)[moving]
+        row = np.concatenate(rows)[moving]
         mlev, mgrid, mtid = levels[moving], grids[moving], tids[moving]
-        moved += int(moving.sum())
-        for row in range(len(aos)):
-            dkey = (int(mlev[row]), int(mgrid[row]), int(mtid[row]))
-            entry = (dkey, aos[row : row + 1], rdata[:, row : row + 1], idata[:, row : row + 1])
+        # stable: rows keep their tile order inside each (source, destination)
+        # block, which is the arrival order sort_by_id sees for repeated ids
+        order = np.lexsort((mtid, mgrid, mlev, src))
+        src, row, mlev, mgrid, mtid = (a[order] for a in (src, row, mlev, mgrid, mtid))
+        for i, j in zip(*_runs(src, mlev, mgrid, mtid)):
+            lev, g, _ = keys[src[i]]
+            dkey = (int(mlev[i]), int(mgrid[i]), int(mtid[i]))
+            entry = (dkey,) + tiles[src[i]].take(row[i:j])
+            src_rank = pc.dms[lev][g]
             dst_rank = pc.dms[dkey[0]][dkey[1]]
             if dst_rank == src_rank:
                 arrivals.append(entry)
             else:
                 outbox.setdefault((src_rank, dst_rank), _Packed()).append(entry)
-        if tile.size == 0:
-            del pc.tiles[key]
+        for i, j in zip(*_runs(src)):
+            tile = tiles[src[i]]
+            keep = np.ones(tile.size, dtype=bool)
+            keep[row[i:j]] = False
+            tile.keep(keep)
+            if tile.size == 0:
+                del pc.tiles[keys[src[i]]]
 
     for (sr, dr), payload in sorted(outbox.items()):
         transport.send(sr, dr, "redistribute", payload)
@@ -752,19 +777,9 @@ def sum_neighbors(pc, halo, comp, transport=None):
     )
     keys = keys[order]
     vals = vals[order]
-    i = 0
-    while i < len(keys):
-        lev, g2, t2 = int(keys[i, 0]), int(keys[i, 1]), int(keys[i, 2])
-        j = i
-        while (
-            j < len(keys)
-            and int(keys[j, 0]) == lev
-            and int(keys[j, 1]) == g2
-            and int(keys[j, 2]) == t2
-        ):
-            j += 1
-        np.add.at(pc.tiles[(lev, g2, t2)].rdata[comp], keys[i:j, 3], vals[i:j])
-        i = j
+    for i, j in zip(*_runs(keys[:, 0], keys[:, 1], keys[:, 2])):
+        tile = pc.tiles[tuple(keys[i, :3].tolist())]
+        np.add.at(tile.rdata[comp], keys[i:j, 3], vals[i:j])
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,33 @@ def test_owner_at_single_bin(rng):
         assert got == want
 
 
+def brute_owner(boxes, p):
+    return next((i for i, b in enumerate(boxes) if b.contains(p)), -1)
+
+
+def test_owners_at_matches_brute_force(rng):
+    for trial in range(45):
+        dim = trial % 3 + 1
+        n = int(rng.integers(6, 24))
+        lo = [int(rng.integers(-8, 8)) for _ in range(dim)]
+        domain = Box(IntVect(lo), IntVect([l + n - 1 for l in lo]))
+        ba = random_cover(rng, domain, nsplits=int(rng.integers(1, 10)))
+        if trial % 2:
+            # nodal boxes share faces: the lowest containing index wins
+            ba = ba.convert(IndexType.node(dim))
+        pts = np.array(
+            [[int(rng.integers(l - 4, l + n + 4)) for l in lo] for _ in range(200)]
+        )
+        counters.reset("hash_bins_examined", "hash_queries")
+        got = ba.owners_at(pts)
+        assert counters.get("hash_bins_examined") == len(pts)
+        assert counters.get("hash_queries") == len(pts)
+        assert got.dtype == np.int64
+        assert got.tolist() == [brute_owner(list(ba), IntVect(p)) for p in pts.tolist()]
+        assert ba.owners_at(np.zeros((0, dim), dtype=np.int64)).shape == (0,)
+        assert ba.bounds().tolist() == [[list(b.lo), list(b.hi)] for b in ba]
+
+
 def test_max_size_partitions_and_bounds(rng):
     for _ in range(30):
         dim = int(rng.integers(1, 4))

@@ -4,6 +4,7 @@ particle-mesh transfer, each against an order-independent oracle."""
 import numpy as np
 import pytest
 
+from amrkit import counters
 from amrkit.amr_core import Geometry
 from amrkit.boxarray import BoxArray
 from amrkit.distribution import default_costs, sfc_distribute
@@ -25,8 +26,19 @@ from amrkit.particles import (
     redistribute,
     stream_compact,
     sum_neighbors,
+    tile_box_of,
     update_neighbors,
 )
+from amrkit.particles import (
+    _Packed,
+    _aos_dtype,
+    _cells_at,
+    _default_local_k,
+    _wrap_positions,
+)
+from amrkit.transport import Transport
+
+from conftest import random_cover
 
 DIM = 2
 
@@ -133,6 +145,21 @@ def test_negative_id_removed(rng):
     assert pc.total_valid() == 19
 
 
+def test_unlocatable_particle_raises_before_moving_any(rng):
+    pc = _setup(nranks=2, periodic=False)
+    _inject(pc, rng.random((100, DIM)) * 0.9)
+    dx = pc.geoms[0].cell_size[0]
+    keys = pc.sorted_keys()
+    for key in keys:
+        pc.tiles[key].aos["pos"] += 3.0 * dx  # many cross into other grids
+    last = pc.tiles[keys[-1]]
+    last.aos["pos"][0] = (1.5, 0.5)
+    with pytest.raises(ParticleError) as err:
+        redistribute(pc)
+    assert err.value.ids == [int(last.aos["id"][0])]
+    assert pc.total_valid() == 100
+
+
 def test_storage_identical_across_rank_counts(rng):
     pos = rng.random((300, DIM))
     layouts = []
@@ -193,6 +220,218 @@ def test_soak_multiset_identical_across_ranks(rng):
             redistribute(pc)
         results[nranks] = sorted(pc.id_positions().items())
     assert results[1] == results[4]
+
+
+# -- redistribution against a brute-force reference ----------------------------
+
+
+class BruteForceRedistribute:
+    """The per-particle container operations: every row is located by a
+    containment scan over the boxes (finest level first, lowest index),
+    its tile id computed on its own, and every moved particle travels as
+    its own message entry."""
+
+    @staticmethod
+    def locate_row(pc, w):
+        for lev in range(pc.nlevels - 1, -1, -1):
+            cell = _cells_at(pc.geoms[lev], w[None, :])[0].tolist()
+            for g, box in enumerate(pc.bas[lev]):
+                if box.contains(IntVect(cell)):
+                    tid = 0
+                    for d in range(pc.dim):
+                        ntiles = -(-box.extents()[d] // pc.tile_size[d])
+                        tid = tid * ntiles + (cell[d] - box.lo[d]) // pc.tile_size[d]
+                    return (lev, g, tid)
+        raise ParticleError("no level covers particle position")
+
+    @classmethod
+    def add_particles(cls, pc, pos, rdata, idata, ids):
+        aos = np.zeros(len(ids), dtype=_aos_dtype(pc.dim))
+        aos["id"] = ids
+        aos["pos"] = _wrap_positions(pc.geoms[0], pos)
+        touched = set()
+        for i in range(len(ids)):
+            key = cls.locate_row(pc, aos["pos"][i])
+            pc.tile(*key, create=True).extend(aos[i : i + 1], rdata[:, i : i + 1], idata[:, i : i + 1])
+            touched.add(key)
+        for key in touched:
+            pc.tiles[key].sort_by_id()
+        pc.epoch += 1
+
+    @classmethod
+    def check_locations(cls, pc):
+        bad = []
+        for key in pc.sorted_keys():
+            tile = pc.tiles[key]
+            for i in range(tile.size):
+                w = _wrap_positions(pc.geoms[0], tile.aos["pos"][i : i + 1])[0]
+                expect = cls.locate_row(pc, w)
+                if expect != key:
+                    bad.append((int(tile.aos["id"][i]), key, expect))
+        return bad
+
+    @classmethod
+    def redistribute(cls, pc, transport, mode="global", k=None, subcycle=None):
+        if mode == "local":
+            kk = _default_local_k(pc) if k is None else int(k)
+            violations = []
+            for key in pc.sorted_keys():
+                lev, g, t = key
+                tile = pc.tiles[key]
+                tbox = tile_box_of(pc.bas[lev][g], pc.tile_size, t).grow(kk)
+                for i in range(tile.size):
+                    if tile.aos["id"][i] <= 0:
+                        continue
+                    cell = _cells_at(pc.geoms[lev], tile.aos["pos"][i : i + 1])[0]
+                    if not tbox.contains(IntVect(cell.tolist())):
+                        violations.append(int(tile.aos["id"][i]))
+            if violations:
+                raise ParticleError("local-mode displacement bound exceeded", violations)
+        sub_levels = set(subcycle["levels"]) if subcycle else set()
+        band = subcycle.get("band", 0) if subcycle else 0
+        pc.epoch += 1
+        outbox = {}
+        arrivals = []
+        moved = 0
+        for key in pc.sorted_keys():
+            lev, g, t = key
+            tile = pc.tiles[key]
+            tile.keep(tile.aos["id"] > 0)
+            if tile.size == 0:
+                del pc.tiles[key]
+                continue
+            tbox = tile_box_of(pc.bas[lev][g], pc.tile_size, t).grow(band)
+            leaving = []
+            for i in range(tile.size):
+                if lev in sub_levels:
+                    cell = _cells_at(pc.geoms[lev], tile.aos["pos"][i : i + 1])[0]
+                    if tbox.contains(IntVect(cell.tolist())):
+                        continue
+                tile.aos["pos"][i] = _wrap_positions(pc.geoms[0], tile.aos["pos"][i : i + 1])[0]
+                dkey = cls.locate_row(pc, tile.aos["pos"][i])
+                if dkey != key:
+                    leaving.append((i, dkey))
+            src_rank = pc.dms[lev][g]
+            for i, dkey in leaving:
+                entry = (dkey,) + tile.take(slice(i, i + 1))
+                dst_rank = pc.dms[dkey[0]][dkey[1]]
+                if dst_rank == src_rank:
+                    arrivals.append(entry)
+                else:
+                    outbox.setdefault((src_rank, dst_rank), _Packed()).append(entry)
+            keep = np.ones(tile.size, dtype=bool)
+            keep[[i for i, _ in leaving]] = False
+            tile.keep(keep)
+            moved += len(leaving)
+            if tile.size == 0:
+                del pc.tiles[key]
+        for (sr, dr), payload in sorted(outbox.items()):
+            transport.send(sr, dr, "redistribute", payload)
+        for dr in range(pc.nranks):
+            for _, _, payload in transport.drain(dr):
+                arrivals.extend(payload)
+        for dkey, aos, rdata, idata in arrivals:
+            pc.tile(*dkey, create=True).extend(aos, rdata, idata)
+        for dkey in {a[0] for a in arrivals}:
+            pc.tiles[dkey].sort_by_id()
+        counters.incr("particles_redistributed", moved)
+
+
+def _two_containers(rng, dim, nlevels, nranks, periodic, npart):
+    n = 16 if dim < 3 else 8
+    domain = Box(IntVect.zero(dim), IntVect([n - 1] * dim))
+    geoms = [Geometry(domain, (0.0,) * dim, (1.0,) * dim, periodic)]
+    bas = [random_cover(rng, domain, nsplits=int(rng.integers(3, 9)))]
+    if nlevels == 2:
+        # a fine patch over part of the domain, refined by 2
+        lo = [int(rng.integers(0, n // 2)) for _ in range(dim)]
+        hi = [l + int(rng.integers(2, n // 2)) for l in lo]
+        patch = random_cover(rng, Box(IntVect(lo), IntVect(hi)), nsplits=3)
+        geoms.append(geoms[0].refine(2))
+        bas.append(patch.refine(2))
+    dms = [sfc_distribute(ba, default_costs(ba), nranks) for ba in bas]
+    tile = int(rng.integers(2, 6))
+    pcs = [
+        ParticleContainer(geoms, bas, dms, nreal=2, nint=1, tile_size=tile)
+        for _ in range(2)
+    ]
+    pos = rng.random((npart, dim))
+    # repeated ids make arrival order visible in storage (stable id sort)
+    ids = rng.integers(1, npart // 2, size=npart).astype(np.int64)
+    rdata = rng.random((2, npart))
+    idata = rng.integers(-50, 50, size=(1, npart)).astype(np.int64)
+    pcs[0].add_particles(pos, rdata=rdata, idata=idata, ids=ids)
+    BruteForceRedistribute.add_particles(pcs[1], pos, rdata, idata, ids)
+    return pcs
+
+
+def _assert_same_storage(a, b):
+    assert a.sorted_keys() == b.sorted_keys()
+    for key in a.sorted_keys():
+        ta, tb = a.tiles[key], b.tiles[key]
+        assert ta.aos.tobytes() == tb.aos.tobytes()
+        assert ta.rdata.tobytes() == tb.rdata.tobytes()
+        assert ta.idata.tobytes() == tb.idata.tobytes()
+
+
+def _traffic(fn, *args, **kw):
+    before = counters.snapshot()
+    fn(*args, **kw)
+    after = counters.snapshot()
+    return tuple(
+        after.get(c, 0) - before.get(c, 0)
+        for c in ("transport_messages", "transport_bytes", "particles_redistributed")
+    )
+
+
+def test_redistribute_matches_brute_force(rng):
+    modes = [
+        {"mode": "global"},
+        {"mode": "local"},
+        {"mode": "global", "subcycle": {"levels": [0], "band": 1}},
+        {"mode": "global", "subcycle": {"levels": [1], "band": 0}},
+    ]
+    trial = 0
+    for nranks in (1, 2, 4, 8):
+        for dim in (2, 3):
+            for nlevels in (1, 2):
+                trial += 1
+                periodic = bool(trial % 3)
+                new, ref = _two_containers(rng, dim, nlevels, nranks, periodic, 240)
+                _assert_same_storage(new, ref)
+                assert check_locations(new) == []
+                dx = np.asarray(new.geoms[-1].cell_size)
+                for step in range(3):
+                    kw = modes[(trial + step) % len(modes)]
+                    hop = 2.5 if kw["mode"] == "global" else 0.9
+                    for key in new.sorted_keys():
+                        tn, tr = new.tiles[key], ref.tiles[key]
+                        delta = (2.0 * rng.random(tn.aos["pos"].shape) - 1.0) * hop * dx
+                        moved = tn.aos["pos"] + delta
+                        if not periodic:
+                            moved = np.clip(moved, 0.0, np.nextafter(1.0, 0.0))
+                        tn.aos["pos"] = moved
+                        tr.aos["pos"] = moved
+                        doomed = rng.random(tn.size) < 0.05
+                        tn.aos["id"][doomed] *= -1
+                        tr.aos["id"][doomed] *= -1
+                    got = _traffic(redistribute, new, Transport(nranks), **kw)
+                    want = _traffic(BruteForceRedistribute.redistribute, ref, Transport(nranks), **kw)
+                    assert got == want
+                    _assert_same_storage(new, ref)
+                    if "subcycle" not in kw:
+                        assert check_locations(new) == []
+
+
+def test_check_locations_matches_brute_force(rng):
+    for nlevels in (1, 2):
+        pc, _ = _two_containers(rng, 2, nlevels, 2, True, 200)
+        for key in pc.sorted_keys()[::2]:
+            t = pc.tiles[key]
+            t.aos["pos"][::3] = rng.random((t.aos["pos"][::3].shape[0], 2))
+        want = BruteForceRedistribute.check_locations(pc)
+        assert want
+        assert check_locations(pc) == want
 
 
 # -- scans -------------------------------------------------------------------
