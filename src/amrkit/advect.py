@@ -167,14 +167,13 @@ class AdvectionSolver:
                     scale=1.0,
                 )
             ratio = self.params.ref_ratio[0]
-            nsub = max(ratio.coords)
+            nsub = max(ratio)
             geom_f = hier.geom(1)
             phi_f = hier.field("phi", 1)
             dt_f = dt / nsub
             dto_dx_f = [dt_f / geom_f.cell_size[d] for d in range(dim)]
             for m in range(nsub):
                 fill_patch(
-                    phi_f,
                     phi_f,
                     crse_old,
                     phi_c,
@@ -262,10 +261,10 @@ def save_solver_checkpoint(solver, path, mode=None):
             "params": {
                 "dim": p.dim,
                 "max_level": p.max_level,
-                "max_grid_size": tuple(p.max_grid_size.coords),
-                "blocking_factor": tuple(p.blocking_factor.coords),
+                "max_grid_size": p.max_grid_size.coords,
+                "blocking_factor": p.blocking_factor.coords,
                 "grid_efficiency": p.grid_efficiency,
-                "ref_ratio": [tuple(r.coords) for r in p.ref_ratio],
+                "ref_ratio": [r.coords for r in p.ref_ratio],
                 "n_error_buf": p.n_error_buf,
                 "nesting_buffer": p.nesting_buffer,
             },

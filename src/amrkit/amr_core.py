@@ -381,7 +381,7 @@ def cluster_tags(tags, params, level_domain, level=0, max_extent=None):
         recurse(right)
 
     recurse(pts)
-    out.sort(key=lambda b: (b.lo.coords, b.hi.coords))
+    out.sort(key=lambda b: (b.lo, b.hi))
     return BoxArray(out, IndexType.cell(params.dim))
 
 
@@ -501,7 +501,7 @@ def enforce_proper_nesting(fine, coarse, ratio, domain, buffer=1, block=None):
             piece = Box(clo, chi).intersect(fc).refine(ratio).intersect(f)
             if not piece.is_empty():
                 out.append(piece)
-    out.sort(key=lambda b: (b.lo.coords, b.hi.coords))
+    out.sort(key=lambda b: (b.lo, b.hi))
     return BoxArray(out, fine.ixtype, validate=False)
 
 

@@ -24,7 +24,6 @@ from .fabarray import (
     _cached_plan,
     _execute_plan,
     _normalize_periodic,
-    _periodic_shifts,
     _plan_key,
     parallel_copy,
 )
@@ -68,7 +67,7 @@ def _derived_layout(ba, how, derive):
 
 def coarsened_layout(ba, ratio):
     """Memoized ba.coarsen(ratio)."""
-    return _derived_layout(ba, ("coarsen", ratio.coords), lambda: ba.coarsen(ratio))
+    return _derived_layout(ba, ("coarsen", ratio), lambda: ba.coarsen(ratio))
 
 
 def face_layout(ba, d):
@@ -133,42 +132,6 @@ def interp_block(block, ratio, kind, margin=1):
     return fine
 
 
-def interp_c2f(crse, fine_region, ratio, kind="linear"):
-    """Fine values over fine_region interpolated from a coarse FabArray.
-
-    piecewise constant ('pc'): child = parent.  linear: child = parent +
-    limited per-dimension slope times the child's fractional offset.
-    Raises if any needed parent cell is not covered by the coarse layout.
-    """
-    ratio = _as_ratio(ratio, fine_region.dim)
-    margin = 1 if kind == "linear" else 0
-    parents = fine_region.coarsen(ratio)
-    block_box = parents.grow(margin)
-    block = np.full((crse.ncomp,) + tuple(block_box.extents()), np.nan)
-    for i in range(len(crse.ba)):
-        ov = crse.fab(i).gbox.intersect(block_box)
-        if ov.is_empty():
-            continue
-        idx = tuple(
-            slice(ov.lo[d] - block_box.lo[d], ov.hi[d] - block_box.lo[d] + 1)
-            for d in range(fine_region.dim)
-        )
-        block[(slice(None),) + idx] = crse.fab(i).slice(ov)
-    pcheck = tuple(
-        slice(parents.lo[d] - block_box.lo[d], parents.hi[d] - block_box.lo[d] + 1)
-        for d in range(fine_region.dim)
-    )
-    if np.isnan(block[(slice(None),) + pcheck]).any():
-        raise ValueError("fine region has parent cells not covered by the coarse data")
-    fine = interp_block(block, ratio, kind, margin)
-    flo = parents.refine(ratio).lo
-    out_idx = tuple(
-        slice(fine_region.lo[d] - flo[d], fine_region.hi[d] - flo[d] + 1)
-        for d in range(fine_region.dim)
-    )
-    return fine[(slice(None),) + out_idx]
-
-
 def average_down(fine, crse, ratio, transport, mode="average"):
     """Replace covered coarse cells with the mean (or lowest-corner
     injection) of their fine children.
@@ -212,46 +175,13 @@ def interp_to_fine(fine, crse, ratio, transport, method="pc"):
     margin = 1 if method == "linear" else 0
     stage = FabArray(coarsened_layout(fine.ba, ratio), fine.dm, fine.ncomp, margin, fine.dtype)
     stage.setval(np.nan)
-    _copy_into(stage, crse, transport, include_dst_ghosts=margin > 0)
+    parallel_copy(stage, crse, transport, ngrow=margin)
     for i in range(len(fine.ba)):
         block = stage.fab(i).data
         core = block[(slice(None),) + (slice(margin, -margin or None),) * fine.dim]
         if np.isnan(core).any():
             raise ValueError("fine region has parent cells not covered by the coarse data")
         fine.fab(i).valid()[...] = interp_block(block, ratio, method, margin)
-
-
-def _copy_into(dst, src, transport, include_dst_ghosts=False, domain=None, periodic=None):
-    """parallel_copy variant that may also target dst ghost cells."""
-    if dst.ncomp != src.ncomp:
-        raise ValueError("component count mismatch")
-    ngrow = dst.ngrow if include_dst_ghosts else 0
-    plan = build_plan_copy_grown(dst.ba, src.ba, ngrow, domain, periodic)
-
-    def combine(d, s, rec):
-        d[...] = s
-
-    _execute_plan(plan, src, dst, transport, combine)
-
-
-def build_plan_copy_grown(dst_ba, src_ba, ngrow, domain=None, periodic=None):
-    periodic = _normalize_periodic(periodic, dst_ba.dim)
-    key = _plan_key("copyg", (dst_ba, src_ba), ngrow, periodic, domain)
-
-    def build():
-        if domain is None:
-            shifts = [IntVect.zero(dst_ba.dim)]
-        else:
-            shifts = _periodic_shifts(domain, periodic, dst_ba.dim)
-        records = []
-        for j in range(len(dst_ba)):
-            target = dst_ba[j].grow(ngrow)
-            for s in shifts:
-                for i, ov in src_ba.intersections(target.shift(-s)):
-                    records.append(CopyRecord(i, j, ov, ov.shift(s), s))
-        return CommPlan(records)
-
-    return _cached_plan(key, build)
 
 
 def snapshot_valid(fa):
@@ -264,34 +194,30 @@ def snapshot_valid(fa):
 
 def fill_patch(
     dst,
-    fine_src,
     crse_old,
     crse_new,
     time_weight,
     ratio,
     transport,
-    domain=None,
+    domain,
     periodic=None,
     kind="linear",
-    boundary=None,
-    geom=None,
 ):
-    """Fill dst (valid + ghost cells) from fine data where available, else
-    from time-blended coarse data interpolated to the fine level.
+    """Fill dst (valid + ghost cells) from its own fine data where available,
+    else from time-blended coarse data interpolated to the fine level.
 
     The blend (1-w) * crse_old + w * crse_new happens before interpolation.
-    Fine copies win over interpolation wherever fine_src covers a cell.
-    domain/periodic describe the FINE level index space; physical-boundary
-    ghosts follow the BoundaryRecord when one is given (geom required).
+    Fine copies win over interpolation wherever dst's valid cells (or their
+    periodic images) cover a cell.  domain/periodic describe the FINE level
+    index space.  Raises if an in-domain cell is left unfilled.
     """
     if not 0.0 <= time_weight <= 1.0:
         raise ValueError("time_weight must lie in [0, 1]")
     dim = dst.dim
     ratio = _as_ratio(ratio, dim)
-    if fine_src is dst:
-        # the interpolation pass below overwrites dst wholesale, so the
-        # fine data must be staged out of it first
-        fine_src = snapshot_valid(dst)
+    # the interpolation pass below overwrites dst wholesale, so the fine
+    # data must be staged out of it first
+    fine_src = snapshot_valid(dst)
     if time_weight == 0.0:
         blended = crse_old
     elif time_weight == 1.0 or crse_old is None:
@@ -303,12 +229,10 @@ def fill_patch(
                 time_weight
             ) * crse_new.fab(i).valid()
     margin = 1 if kind == "linear" else 0
-    gc = -(-dst.ngrow // max(min(ratio.coords), 1)) + max(margin, 1)
-    cdomain = domain.coarsen(ratio) if domain is not None else None
+    gc = -(-dst.ngrow // max(min(ratio), 1)) + max(margin, 1)
     stage = FabArray(coarsened_layout(dst.ba, ratio), dst.dm, dst.ncomp, gc, dst.dtype)
     stage.setval(np.nan)
-    _copy_into(stage, blended, transport, include_dst_ghosts=True,
-               domain=cdomain, periodic=periodic)
+    parallel_copy(stage, blended, transport, domain.coarsen(ratio), periodic, ngrow=gc)
     for j in range(len(dst.ba)):
         f = dst.fab(j)
         parents = f.gbox.coarsen(ratio)
@@ -320,25 +244,16 @@ def fill_patch(
             slice(f.gbox.lo[d] - flo[d], f.gbox.hi[d] - flo[d] + 1) for d in range(dim)
         )
         f.data[...] = fine[(slice(None),) + idx]
-    if fine_src is not None:
-        _copy_into(dst, fine_src, transport, include_dst_ghosts=True,
-                   domain=domain, periodic=periodic)
-    if boundary is not None:
-        from .amr_core import apply_domain_boundary
-
-        apply_domain_boundary(dst, geom, boundary)
-    if domain is not None:
-        per = _normalize_periodic(periodic, dim)
-        check = domain.grow(
-            IntVect(dst.ngrow if per[d] else 0 for d in range(dim))
-        )
-        for j in range(len(dst.ba)):
-            f = dst.fab(j)
-            ov = f.gbox.intersect(check)
-            if not ov.is_empty() and np.isnan(f.slice(ov)).any():
-                raise ValueError(
-                    f"box {j}: in-domain cells coverable by neither level"
-                )
+    parallel_copy(dst, fine_src, transport, domain, periodic, ngrow=dst.ngrow)
+    per = _normalize_periodic(periodic, dim)
+    check = domain.grow(IntVect(dst.ngrow if per[d] else 0 for d in range(dim)))
+    for j in range(len(dst.ba)):
+        f = dst.fab(j)
+        ov = f.gbox.intersect(check)
+        if not ov.is_empty() and np.isnan(f.slice(ov)).any():
+            raise ValueError(
+                f"box {j}: in-domain cells coverable by neither level"
+            )
 
 
 # ---------------------------------------------------------------------------

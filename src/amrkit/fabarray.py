@@ -193,9 +193,9 @@ class CopyRecord:
     def sort_key(self):
         return (
             self.dst_index,
-            self.dst_box.lo.coords,
+            self.dst_box.lo,
             self.src_index,
-            self.shift.coords,
+            self.shift,
         )
 
 
@@ -272,7 +272,7 @@ def _periodic_shifts(domain, periodic, dim):
     for d in range(dim):
         choices.append((-ext[d], 0, ext[d]) if periodic[d] else (0,))
     shifts = [IntVect(s) for s in itertools.product(*choices)]
-    shifts.sort(key=lambda v: (v != IntVect.zero(dim), v.coords))
+    shifts.sort(key=lambda v: (any(v), v))
     return shifts
 
 
@@ -310,27 +310,30 @@ def _build_fill(ba, ngrow, domain, periodic):
     return CommPlan(records)
 
 
-def build_plan_copy(dst_ba, src_ba, domain=None, periodic=None):
-    """Records writing dst valid cells from overlapping src valid cells."""
+def build_plan_copy(dst_ba, src_ba, domain=None, periodic=None, ngrow=0):
+    """Records writing dst cells (valid, grown by ngrow ghost cells) from
+    overlapping src valid cells."""
     if dst_ba.ixtype != src_ba.ixtype:
         raise ValueError("index type mismatch")
     periodic = _normalize_periodic(periodic, dst_ba.dim)
     if any(periodic) and domain is None:
         raise ValueError("periodic copy needs the domain box")
-    key = _plan_key("copy", (dst_ba, src_ba), periodic, domain)
-    return _cached_plan(key, lambda: _build_copy(dst_ba, src_ba, domain, periodic))
+    key = _plan_key("copy", (dst_ba, src_ba), periodic, domain, ngrow)
+    return _cached_plan(
+        key, lambda: _build_copy(dst_ba, src_ba, domain, periodic, ngrow)
+    )
 
 
-def _build_copy(dst_ba, src_ba, domain, periodic):
+def _build_copy(dst_ba, src_ba, domain, periodic, ngrow):
     if domain is None:
         shifts = [IntVect.zero(dst_ba.dim)]
     else:
         shifts = _periodic_shifts(domain, periodic, dst_ba.dim)
     records = []
     for j in range(len(dst_ba)):
+        target = dst_ba[j].grow(ngrow)
         for s in shifts:
-            probe = dst_ba[j].shift(-s)
-            for i, ov in src_ba.intersections(probe):
+            for i, ov in src_ba.intersections(target.shift(-s)):
                 records.append(CopyRecord(i, j, ov, ov.shift(s), s))
     return CommPlan(records)
 
@@ -418,13 +421,16 @@ def fill_boundary(fa, transport, domain, periodic=None):
     _execute_plan(plan, fa, fa, transport, combine)
 
 
-def parallel_copy(dst_fa, src_fa, transport, domain=None, periodic=None):
-    """Copy src valid data onto dst valid cells wherever the layouts overlap."""
+def parallel_copy(dst_fa, src_fa, transport, domain=None, periodic=None, ngrow=0):
+    """Copy src valid data onto dst valid cells, and onto the first ngrow
+    ghost cells around them, wherever the layouts overlap."""
     if dst_fa.ncomp != src_fa.ncomp:
         raise ValueError(
             f"component count mismatch: dst {dst_fa.ncomp} vs src {src_fa.ncomp}"
         )
-    plan = build_plan_copy(dst_fa.ba, src_fa.ba, domain, periodic)
+    if not 0 <= ngrow <= dst_fa.ngrow:
+        raise ValueError(f"ngrow {ngrow} outside [0, {dst_fa.ngrow}] (dst ghost width)")
+    plan = build_plan_copy(dst_fa.ba, src_fa.ba, domain, periodic, ngrow)
 
     def combine(dst, src, rec):
         dst[...] = src

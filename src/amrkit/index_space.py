@@ -1,9 +1,9 @@
 """Integer index-space primitives: IntVect, IndexType, Box and box algebra.
 
-All values are immutable after construction and safe to share between
-concurrent workers.  Dimensionality (1, 2 or 3) is carried by the values
-themselves and must be consistent across every value used together in one
-program run.
+IntVect is an immutable tuple of ints.  All values are immutable after
+construction and safe to share between concurrent workers.
+Dimensionality (1, 2 or 3) is carried by the values themselves and must be
+consistent across every value used together in one program run.
 
 Textual form used in logs and golden files: ``(lo..hi)[type]``, e.g.
 ``((0,0)..(3,3))[cc]`` where each type letter is ``c`` (cell) or ``n``
@@ -13,16 +13,17 @@ Textual form used in logs and golden files: ``(lo..hi)[type]``, e.g.
 from __future__ import annotations
 
 import itertools
-from functools import total_ordering
+import math
+import operator
 
 
 def _as_coords(v, dim=None):
-    if isinstance(v, IntVect):
-        c = v.coords
-    elif isinstance(v, int):
+    if isinstance(v, int):
         if dim is None:
             raise ValueError("scalar needs an explicit dimension")
         c = (v,) * dim
+    elif isinstance(v, IntVect):
+        c = v
     else:
         c = tuple(int(x) for x in v)
     if dim is not None and len(c) != dim:
@@ -30,79 +31,73 @@ def _as_coords(v, dim=None):
     return c
 
 
-@total_ordering
-class IntVect:
-    """A dimension-sized tuple of signed integers locating a point in index space."""
+class IntVect(tuple):
+    """A dimension-sized tuple of signed integers locating a point in index space.
 
-    __slots__ = ("coords",)
+    An immutable tuple: equality, hashing, ordering, indexing and iteration
+    are the tuple's own.  Arithmetic (+ - * // and their reflected forms,
+    unary -, min, max) is elementwise; the other operand may be an IntVect,
+    a sequence of the same dimension or a scalar.
+    """
 
-    def __init__(self, *coords):
+    __slots__ = ()
+
+    def __new__(cls, *coords):
         if len(coords) == 1 and not isinstance(coords[0], int):
-            coords = tuple(coords[0])
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
-        if not 1 <= len(self.coords) <= 3:
-            raise ValueError(f"dimension must be 1, 2 or 3, got {len(self.coords)}")
+            coords = coords[0]
+        self = tuple.__new__(cls, map(int, coords))
+        if not 1 <= len(self) <= 3:
+            raise ValueError(f"dimension must be 1, 2 or 3, got {len(self)}")
+        return self
 
-    def __setattr__(self, *a):
-        raise AttributeError("IntVect is immutable")
+    @property
+    def coords(self):
+        """The coordinates as a plain tuple."""
+        return tuple(self)
 
     @property
     def dim(self):
-        return len(self.coords)
+        return len(self)
 
-    def __getitem__(self, d):
-        return self.coords[d]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, IntVect) and self.coords == other.coords
-
-    def __lt__(self, other):
-        return self.coords < other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def _zip(self, other):
-        return zip(self.coords, _as_coords(other, self.dim))
+    def _map(self, op, other):
+        return _new(IntVect, map(op, self, _as_coords(other, len(self))))
 
     def __add__(self, other):
-        return IntVect(a + b for a, b in self._zip(other))
+        return self._map(operator.add, other)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return IntVect(a - b for a, b in self._zip(other))
+        return self._map(operator.sub, other)
+
+    def __rsub__(self, other):
+        return _new(IntVect, map(operator.sub, _as_coords(other, len(self)), self))
 
     def __mul__(self, other):
-        return IntVect(a * b for a, b in self._zip(other))
+        return self._map(operator.mul, other)
+
+    __rmul__ = __mul__
 
     def __floordiv__(self, other):
-        return IntVect(a // b for a, b in self._zip(other))
+        return self._map(operator.floordiv, other)
 
     def __neg__(self):
-        return IntVect(-a for a in self.coords)
+        return _new(IntVect, map(operator.neg, self))
 
     def min(self, other):
-        return IntVect(min(a, b) for a, b in self._zip(other))
+        return self._map(min, other)
 
     def max(self, other):
-        return IntVect(max(a, b) for a, b in self._zip(other))
+        return self._map(max, other)
 
     def all_ge(self, other):
-        return all(a >= b for a, b in self._zip(other))
+        return all(map(operator.ge, self, _as_coords(other, len(self))))
 
     def all_le(self, other):
-        return all(a <= b for a, b in self._zip(other))
+        return all(map(operator.le, self, _as_coords(other, len(self))))
 
     def prod(self):
-        p = 1
-        for c in self.coords:
-            p *= c
-        return p
+        return math.prod(self)
 
     @staticmethod
     def unit(dim):
@@ -113,7 +108,11 @@ class IntVect:
         return IntVect((0,) * dim)
 
     def __repr__(self):
-        return f"IntVect{self.coords}"
+        return f"IntVect{tuple.__repr__(self)}"
+
+
+# builds an IntVect from values already known to be dim-many ints
+_new = tuple.__new__
 
 
 class IndexType:
@@ -218,7 +217,7 @@ class Box:
     def extents(self):
         if self.is_empty():
             return IntVect.zero(self.dim)
-        return self.hi - self.lo + IntVect.unit(self.dim)
+        return _new(IntVect, [h - l + 1 for l, h in zip(self.lo, self.hi)])
 
     def num_cells(self):
         return self.extents().prod()

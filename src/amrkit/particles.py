@@ -31,7 +31,7 @@ from .fabarray import (
     _periodic_shifts,
 )
 from .index_space import Box, IntVect
-from .transport import Transport
+from .transport import Transport, TransportError
 
 
 class ParticleError(RuntimeError):
@@ -59,6 +59,29 @@ class _Packed(list):
             for part in entry:
                 total += getattr(part, "nbytes", 0)
         return total
+
+
+def _exchange(transport, outbox, tag):
+    """Send every outbox[(src_rank, dst_rank)] payload in sorted pair order,
+    then drain every rank; returns the entries of the arrived payloads in
+    destination rank, then source rank, then FIFO order.
+
+    Raises TransportError unless each posted message is drained exactly
+    once with its tag, and no other message is."""
+    for (sr, dr), payload in sorted(outbox.items()):
+        transport.send(sr, dr, tag, payload)
+    expected = set(outbox)
+    arrived = []
+    for dr in range(transport.nranks):
+        for sr, got, payload in transport.drain(dr):
+            if got != tag or (sr, dr) not in expected:
+                raise TransportError(sr, dr, "unexpected or duplicated message")
+            expected.remove((sr, dr))
+            arrived.extend(payload)
+    if expected:
+        sr, dr = min(expected)
+        raise TransportError(sr, dr, f"{len(expected)} expected message(s) never arrived")
+    return arrived
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +532,7 @@ def redistribute(pc, transport=None, mode="global", k=None, subcycle=None):
             if tile.size == 0:
                 del pc.tiles[keys[src[i]]]
 
-    for (sr, dr), payload in sorted(outbox.items()):
-        transport.send(sr, dr, "redistribute", payload)
-    for dr in range(pc.nranks):
-        for _, _, payload in transport.drain(dr):
-            arrivals.extend(payload)
+    arrivals.extend(_exchange(transport, outbox, "redistribute"))
 
     grouped = {}
     for dkey, aos, rdata, idata in arrivals:
@@ -639,11 +658,7 @@ def fill_neighbors(pc, nghost, transport=None):
                             sc,
                         )
                     )
-    for (sr, dr), payload in sorted(outbox.items()):
-        transport.send(sr, dr, "fill_neighbors", payload)
-    for dr in range(pc.nranks):
-        for _, _, payload in transport.drain(dr):
-            arrivals.extend(payload)
+    arrivals.extend(_exchange(transport, outbox, "fill_neighbors"))
 
     grouped = {}
     for entry in arrivals:
@@ -713,14 +728,10 @@ def update_neighbors(pc, halo, transport=None):
             outbox.setdefault((orank, holder), _Packed()).append(
                 (dkey, sel, fresh_pos[sel], fresh_r[:, sel])
             )
-    for (sr, dr), payload in sorted(outbox.items()):
-        transport.send(sr, dr, "update_neighbors", payload)
-    for dr in range(pc.nranks):
-        for _, _, payload in transport.drain(dr):
-            for dkey, sel, pos_new, r_new in payload:
-                ht = halo.tiles[dkey]
-                ht.pos[sel] = pos_new
-                ht.rdata[:, sel] = r_new
+    for dkey, sel, pos_new, r_new in _exchange(transport, outbox, "update_neighbors"):
+        ht = halo.tiles[dkey]
+        ht.pos[sel] = pos_new
+        ht.rdata[:, sel] = r_new
 
 
 def sum_neighbors(pc, halo, comp, transport=None):
@@ -763,11 +774,7 @@ def sum_neighbors(pc, halo, comp, transport=None):
             outbox.setdefault((holder, orank), _Packed()).append(
                 (block[sel], vals[sel])
             )
-    for (sr, dr), payload in sorted(outbox.items()):
-        transport.send(sr, dr, "sum_neighbors", payload)
-    for dr in range(pc.nranks):
-        for _, _, payload in transport.drain(dr):
-            cols.extend(payload)
+    cols.extend(_exchange(transport, outbox, "sum_neighbors"))
     if not cols:
         return
     keys = np.concatenate([c[0] for c in cols])

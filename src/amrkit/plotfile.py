@@ -148,7 +148,7 @@ def _fmt_ints(values):
 
 
 def _box_token(b):
-    return _fmt_ints(list(b.lo.coords) + list(b.hi.coords))
+    return _fmt_ints(b.lo.coords + b.hi.coords)
 
 
 def _parse_box(parts, dim):

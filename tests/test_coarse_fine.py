@@ -16,7 +16,6 @@ from amrkit.coarse_fine import (
     coarsened_layout,
     face_layout,
     fill_patch,
-    interp_c2f,
     interp_to_fine,
     snapshot_valid,
 )
@@ -72,7 +71,9 @@ def test_interp_linear_reproduces_linear_fields():
     _paint_linear(crse, geom_c, (2.0, -1.5))
     fine_region = Box(IntVect(8, 8), IntVect(23, 23))
     geom_f = geom_c.refine(IntVect(2, 2))
-    out = interp_c2f(crse, fine_region, IntVect(2, 2), kind="linear")
+    fine = _single(BoxArray([fine_region]))
+    interp_to_fine(fine, crse, IntVect(2, 2), Transport(1), method="linear")
+    out = fine.fab(0).valid()
     for c in fine_region.cells():
         x = geom_f.cell_center(IntVect(c))
         got = out[0, c[0] - fine_region.lo[0], c[1] - fine_region.lo[1]]
@@ -86,7 +87,9 @@ def test_interp_pc_matches_parent():
     vals = rng.normal(size=(1, 8, 8))
     crse.fab(0).valid()[...] = vals
     fine_region = Box(IntVect(4, 4), IntVect(11, 11))
-    out = interp_c2f(crse, fine_region, IntVect(2, 2), kind="pc")
+    fine = _single(BoxArray([fine_region]))
+    interp_to_fine(fine, crse, IntVect(2, 2), Transport(1), method="pc")
+    out = fine.fab(0).valid()
     for c in fine_region.cells():
         got = out[0, c[0] - fine_region.lo[0], c[1] - fine_region.lo[1]]
         assert got == vals[0, c[0] // 2, c[1] // 2]
@@ -123,7 +126,6 @@ def test_fill_patch_prefers_fine_data():
     crse_old = snapshot_valid(crse)
     fill_patch(
         fine,
-        fine,
         crse_old,
         crse,
         time_weight=1.0,
@@ -157,7 +159,6 @@ def test_fill_patch_time_interpolation():
     fine = _single(BoxArray([Box(IntVect(4, 4), IntVect(7, 7))]), ngrow=1)
     fine.fab(0).data[...] = 0.0
     fill_patch(
-        fine,
         fine,
         crse_old,
         crse,

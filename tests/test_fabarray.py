@@ -117,6 +117,7 @@ def test_fill_boundary_one_message_per_rank_pair(rng):
 
 
 def test_parallel_copy_matches_oracle(rng):
+    sentinel = -7777.0
     for dim in (2, 3):
         nranks = int(rng.integers(1, 5))
         n = 16
@@ -124,16 +125,31 @@ def test_parallel_copy_matches_oracle(rng):
         src_ba = random_cover(rng, domain, nsplits=5)
         dst_ba = random_cover(rng, domain, nsplits=7)
         src = FabArray(src_ba, sfc_distribute(src_ba, default_costs(src_ba), nranks), 2, 1)
-        dst = FabArray(dst_ba, sfc_distribute(dst_ba, default_costs(dst_ba), nranks), 2, 1)
+        dst = FabArray(dst_ba, sfc_distribute(dst_ba, default_costs(dst_ba), nranks), 2, 2)
         g = _global_field(rng, domain, 2)
         fill_from_global(src, domain, g)
-        for i in range(len(dst.ba)):
-            dst.fab(i).data[...] = 0.0
-        parallel_copy(dst, src, Transport(nranks), domain)
-        for i in range(len(dst.ba)):
-            got = dst.fab(i).valid()
-            want = g[(slice(None),) + global_index(domain, dst.ba[i])]
-            assert np.array_equal(got, want)
+        periodic = tuple(bool(rng.integers(0, 2)) for _ in range(dim))
+        for ngrow in (0, 1):
+            dst.setval(sentinel)
+            parallel_copy(dst, src, Transport(nranks), domain, periodic, ngrow=ngrow)
+            for i in range(len(dst.ba)):
+                got = dst.fab(i).valid()
+                want = g[(slice(None),) + global_index(domain, dst.ba[i])]
+                assert np.array_equal(got, want)
+                # ghosts within ngrow hold their (wrapped) source, the rest
+                # are untouched
+                fab = dst.fab(i)
+                target = dst.ba[i].grow(ngrow)
+                for cell in fab.gbox.cells():
+                    local = tuple(cell[d] - fab.gbox.lo[d] for d in range(dim))
+                    got = fab.data[(slice(None),) + local]
+                    wrapped = _wrap(cell, domain, periodic) if target.contains(cell) else None
+                    if wrapped is None:
+                        assert np.all(got == sentinel)
+                    else:
+                        assert np.array_equal(got, g[(slice(None),) + wrapped])
+        with pytest.raises(ValueError, match="ghost width"):
+            parallel_copy(dst, src, Transport(nranks), domain, periodic, ngrow=3)
 
 
 def test_sum_boundary_matches_oracle(rng):

@@ -27,6 +27,36 @@ def test_intvect_immutable():
         a.coords = (3, 4)
 
 
+def test_intvect_is_a_tuple():
+    a = IntVect(1, 2)
+    assert isinstance(a, tuple) and type(a.coords) is tuple
+    assert repr(a) == "IntVect(1, 2)"
+    assert repr(Box(IntVect(0, 0), IntVect(3, 3))) == "((0, 0)..(3, 3))[cc]"
+    # reflected arithmetic is elementwise, not concatenation or repetition
+    assert (1, 1) + a == IntVect(2, 3) and type((1, 1) + a) is IntVect
+    assert (5, 5) - a == IntVect(4, 3) and type((5, 5) - a) is IntVect
+    assert 2 * a == IntVect(2, 4) and type(2 * a) is IntVect
+    assert a - 1 == IntVect(0, 1) and -a == IntVect(-1, -2)
+    # ordering and hash are the plain tuple's
+    vs = [IntVect(2, -1), IntVect(0, 5), IntVect(0, -3), IntVect(-1, 9)]
+    assert sorted(vs) == sorted(v.coords for v in vs)
+    assert IntVect(0, 5) < IntVect(1, -9) and IntVect(0, 5) > (0, 4)
+    assert all(hash(v) == hash(v.coords) for v in vs)
+    assert a == (1, 2)
+    # numpy integers come out as int
+    b = IntVect(np.int64(3), np.int32(-4))
+    assert all(type(x) is int for x in b) and b == (3, -4)
+    assert all(type(x) is int for x in IntVect(np.arange(3)))
+    with pytest.raises(ValueError):
+        IntVect(1, 2, 3, 4)
+    with pytest.raises(ValueError):
+        IntVect([])
+    with pytest.raises(ValueError):
+        a + IntVect(1, 2, 3)
+    with pytest.raises(AttributeError):
+        a.x = 1
+
+
 def test_box_basics():
     b = Box(IntVect(0, 0), IntVect(3, 1))
     assert tuple(b.extents()) == (4, 2)

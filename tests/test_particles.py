@@ -36,9 +36,9 @@ from amrkit.particles import (
     _default_local_k,
     _wrap_positions,
 )
-from amrkit.transport import Transport
+from amrkit.transport import Transport, TransportError
 
-from conftest import random_cover
+from conftest import FaultyTransport, random_cover
 
 DIM = 2
 
@@ -507,6 +507,20 @@ def test_compact_and_partition(rng):
     assert sorted(perm) == list(range(500))
 
 
+@pytest.mark.parametrize("fault", ["drop", "duplicate"])
+def test_redistribute_raises_on_bad_delivery(rng, fault):
+    # a lost message would silently lose particles, a duplicate clone them
+    nranks = 4
+    pc = _setup(nranks=nranks)
+    _inject(pc, rng.random((300, DIM)))
+    for key in pc.sorted_keys():
+        pc.tiles[key].aos["pos"] = rng.random((pc.tiles[key].size, DIM))
+    tr = FaultyTransport(nranks, fault, at=1)
+    with pytest.raises(TransportError):
+        redistribute(pc, tr)
+    assert tr.sent > 1
+
+
 # -- halos and neighbor lists --------------------------------------------------
 
 
@@ -530,6 +544,17 @@ def test_halo_update_propagates_moves(rng):
             want = np.asarray(owned[pid]) + ht.shift[k] * dx
             assert np.allclose(ht.pos[k], want, rtol=0, atol=1e-15)
             assert ht.rdata[0, k] == owned[pid][0]
+
+
+@pytest.mark.parametrize("fault", ["drop", "duplicate"])
+def test_fill_neighbors_raises_on_bad_delivery(rng, fault):
+    nranks = 4
+    pc = _setup(nranks=nranks)
+    _inject(pc, rng.random((300, DIM)))
+    tr = FaultyTransport(nranks, fault, at=1)
+    with pytest.raises(TransportError):
+        fill_neighbors(pc, 2, tr)
+    assert tr.sent > 1
 
 
 def test_stale_halo_rejected(rng):
