@@ -59,13 +59,6 @@ class Geometry:
             for d in range(self.dim)
         )
 
-    def cell_index(self, point):
-        return IntVect(
-            self.domain.lo[d]
-            + int(np.floor((point[d] - self.prob_lo[d]) / self.cell_size[d]))
-            for d in range(self.dim)
-        )
-
     def __repr__(self):
         return f"Geometry({self.domain!r}, dx={self.cell_size}, periodic={self.periodic})"
 
@@ -88,10 +81,6 @@ class BoundaryRecord:
             for c in side:
                 if c not in self.CONDITIONS:
                     raise ValueError(f"unknown boundary condition {c!r}")
-
-    @staticmethod
-    def all_periodic(dim):
-        return BoundaryRecord(("periodic",) * dim, ("periodic",) * dim)
 
     @staticmethod
     def all_extrap(dim):
@@ -344,9 +333,10 @@ def cluster_tags(tags, params, level_domain, level=0, max_extent=None):
             max(params.max_grid_size[d] // ratio[d], align[d]) for d in range(params.dim)
         )
     dom_lo = level_domain.lo
-    for t in pts:
-        if not level_domain.contains(IntVect(t)):
-            raise ValueError(f"tag {tuple(t)} outside the level domain")
+    outside = ((pts < level_domain.lo) | (pts > level_domain.hi)).any(axis=1)
+    if outside.any():
+        t = pts[outside.argmax()]
+        raise ValueError(f"tag {tuple(t.tolist())} outside the level domain")
 
     out = []
 
@@ -572,40 +562,35 @@ class AmrHierarchy:
 
     # -- tagging helpers -----------------------------------------------------
 
-    def tag_field(self, lev):
-        return FabArray(self.ba(lev), self.dm(lev), 1, 0, dtype=bool)
-
-    @staticmethod
-    def tags_from_field(tagfa):
-        tags = []
-        for i in range(len(tagfa.ba)):
-            arr = tagfa.fab(i).valid(0)
-            lo = tagfa.ba[i].lo
-            for idx in np.argwhere(arr):
-                tags.append(IntVect(int(idx[d]) + lo[d] for d in range(tagfa.dim)))
-        return tags
-
     def _buffer_tags(self, tags, lev, radius):
+        """Every cell within radius (per dimension) of a tag: a dilation of
+        the tag mask over the tags' bounding box grown by radius, then
+        wrapped on periodic axes and clipped to the domain on the others."""
         if radius <= 0:
             return set(tags)
+        pts = np.array(list(tags), dtype=np.int64).reshape(-1, self.dim)
+        if not len(pts):
+            return set()
+        lo = pts.min(axis=0) - radius
+        mask = np.zeros(tuple(pts.max(axis=0) + radius - lo + 1), dtype=bool)
+        mask[tuple((pts - lo).T)] = True
+        for d in range(self.dim):
+            grown = mask.copy()
+            for k in range(1, radius + 1):
+                up = tuple(slice(k, None) if e == d else slice(None) for e in range(self.dim))
+                down = tuple(slice(None, -k) if e == d else slice(None) for e in range(self.dim))
+                grown[up] |= mask[down]
+                grown[down] |= mask[up]
+            mask = grown
+        cells = np.argwhere(mask) + lo
         dom = self.geom(lev).domain
-        per = self.geom(lev).periodic
-        ext = dom.extents()
-        out = set()
-        offsets = list(np.ndindex(*(2 * radius + 1,) * self.dim))
-        for t in tags:
-            for off in offsets:
-                c = [t[d] + off[d] - radius for d in range(self.dim)]
-                ok = True
-                for d in range(self.dim):
-                    if per[d]:
-                        c[d] = dom.lo[d] + (c[d] - dom.lo[d]) % ext[d]
-                    elif not dom.lo[d] <= c[d] <= dom.hi[d]:
-                        ok = False
-                        break
-                if ok:
-                    out.add(IntVect(c))
-        return out
+        keep = np.ones(len(cells), dtype=bool)
+        for d, (periodic, n) in enumerate(zip(self.geom(lev).periodic, dom.extents())):
+            if periodic:
+                cells[:, d] = dom.lo[d] + (cells[:, d] - dom.lo[d]) % n
+            else:
+                keep &= (cells[:, d] >= dom.lo[d]) & (cells[:, d] <= dom.hi[d])
+        return {IntVect(c) for c in cells[keep].tolist()}
 
     # -- grid generation ------------------------------------------------------
 

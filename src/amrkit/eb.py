@@ -9,19 +9,28 @@ Moments come from s^D subsampling per cell (s^(D-1) per face) rather than
 exact clipping; every consumer gets the sampling resolution alongside the
 data so tolerances can follow 1/s.  Cell sizes are taken isotropic when
 converting face sums to a boundary area (area is in units of dx^(D-1)).
+
+Cells are certified before they are subsampled.  Every ImplicitFunction
+carries an optional Lipschitz bound ``lip``: the primitives have 1, and
+min, max, negation and rigid motions keep the largest operand bound.  A
+cell whose center value exceeds ``lip`` times its half diagonal in
+magnitude has one sign on its whole closure, faces included, so it is
+regular or covered without any subsample; only the other cells, a few
+percent of a typical level, are subsampled.  A function built from a plain
+callable has ``lip=None``, and then every cell goes through subsampling on
+the same code path.
 """
 
 from __future__ import annotations
 
 import ast
-import itertools
+import math
 
 import numpy as np
 
-from .boxarray import BoxArray
 from .distribution import DistributionMapping
 from .fabarray import FabArray, gather_global
-from .index_space import Box, IndexType, IntVect
+from .index_space import IndexType, IntVect
 
 REGULAR = 0
 CUT = 1
@@ -34,13 +43,18 @@ COVERED = 2
 
 
 class ImplicitFunction:
-    """Vectorized signed field over physical points, positive inside body."""
+    """Vectorized signed field over physical points, positive inside body.
 
-    __slots__ = ("_fn", "label")
+    lip is a Lipschitz bound, |f(p) - f(q)| <= lip * |p - q|, or None when
+    unknown (a user function); compute_moments certifies cells with it.
+    """
 
-    def __init__(self, fn, label="custom"):
+    __slots__ = ("_fn", "label", "lip")
+
+    def __init__(self, fn, label="custom", lip=None):
         self._fn = fn
         self.label = label
+        self.lip = lip
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=np.float64)
@@ -61,7 +75,7 @@ def sphere(radius, center):
     def fn(p):
         return r - np.sqrt(((p - c) ** 2).sum(axis=1))
 
-    return ImplicitFunction(fn, f"sphere(r={r})")
+    return ImplicitFunction(fn, f"sphere(r={r})", lip=1.0)
 
 
 def box(lo, hi):
@@ -73,7 +87,7 @@ def box(lo, hi):
     def fn(p):
         return np.minimum(p - lo, hi - p).min(axis=1)
 
-    return ImplicitFunction(fn, "box")
+    return ImplicitFunction(fn, "box", lip=1.0)
 
 
 def cylinder(radius, axis, center):
@@ -88,7 +102,14 @@ def cylinder(radius, axis, center):
                 d2 += (p[:, d] - c[d]) ** 2
         return r - np.sqrt(d2)
 
-    return ImplicitFunction(fn, f"cylinder(r={r}, axis={axis})")
+    return ImplicitFunction(fn, f"cylinder(r={r}, axis={axis})", lip=1.0)
+
+
+def _max_lip(*fs):
+    """Lipschitz bound of a min/max/negation/rigid motion of fs: the largest
+    operand bound, or None if any operand has none (a plain callable too)."""
+    lips = [getattr(f, "lip", None) for f in fs]
+    return None if None in lips else max(lips)
 
 
 def union(*fs):
@@ -101,7 +122,7 @@ def union(*fs):
             out = np.maximum(out, g(p))
         return out
 
-    return ImplicitFunction(fn, "union")
+    return ImplicitFunction(fn, "union", _max_lip(*fs))
 
 
 def intersection(*fs):
@@ -114,11 +135,11 @@ def intersection(*fs):
             out = np.minimum(out, g(p))
         return out
 
-    return ImplicitFunction(fn, "intersection")
+    return ImplicitFunction(fn, "intersection", _max_lip(*fs))
 
 
 def complement(f):
-    return ImplicitFunction(lambda p: -f(p), "complement")
+    return ImplicitFunction(lambda p: -f(p), "complement", _max_lip(f))
 
 
 def difference(f, g):
@@ -127,7 +148,7 @@ def difference(f, g):
 
 def translate(f, offset):
     off = np.asarray(offset, dtype=np.float64)
-    return ImplicitFunction(lambda p: f(p - off), "translate")
+    return ImplicitFunction(lambda p: f(p - off), "translate", _max_lip(f))
 
 
 def rotate(f, axis, angle, center=None):
@@ -150,7 +171,7 @@ def rotate(f, axis, angle, center=None):
         out[:, v] = -sa * q[:, u] + ca * q[:, v]
         return f(out + c)
 
-    return ImplicitFunction(fn, "rotate")
+    return ImplicitFunction(fn, "rotate", _max_lip(f))
 
 
 # ---------------------------------------------------------------------------
@@ -224,50 +245,104 @@ def listing_csg():
 # ---------------------------------------------------------------------------
 
 
-def _eval_lattice(f, coords):
-    """f over the tensor grid of per-dim coordinate vectors, shaped to it."""
-    mesh = np.meshgrid(*coords, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    return f(pts).reshape(mesh[0].shape)
+def _eval_at(f, cols):
+    """f at the points whose coordinates are the arrays cols, which
+    broadcast to one shape; the result takes that shape.  np.ix_ of
+    per-axis vectors gives their tensor lattice."""
+    cols = np.broadcast_arrays(*cols)
+    if cols[0].size == 0:
+        return np.zeros(cols[0].shape)
+    pts = np.stack([c.reshape(-1) for c in cols], axis=1)
+    return f(pts).reshape(cols[0].shape)
 
 
-def _axis_nodes(geom, b, d):
-    return geom.prob_lo[d] + (
-        np.arange(b.lo[d], b.hi[d] + 2) - geom.domain.lo[d]
-    ) * geom.cell_size[d]
+# Physical coordinates from integer indices.  A point's value depends only on
+# its own indices, so gathering the points of some cells gives the same bits
+# as a lattice over their whole box.
 
 
-def _axis_centers(geom, b, d):
-    return geom.prob_lo[d] + (
-        np.arange(b.lo[d], b.hi[d] + 1) - geom.domain.lo[d] + 0.5
-    ) * geom.cell_size[d]
+def _node_x(geom, d, i):
+    return geom.prob_lo[d] + (i - geom.domain.lo[d]) * geom.cell_size[d]
 
 
-def _axis_sub(geom, b, d, s):
-    idx = np.arange(b.extents()[d] * s)
-    return geom.prob_lo[d] + (
-        (b.lo[d] - geom.domain.lo[d]) + (idx + 0.5) / s
-    ) * geom.cell_size[d]
+def _center_x(geom, d, i):
+    return geom.prob_lo[d] + (i - geom.domain.lo[d] + 0.5) * geom.cell_size[d]
 
 
-def _classify_box(f, geom, b):
-    dim = b.dim
-    nodes = _eval_lattice(f, [_axis_nodes(geom, b, d) for d in range(dim)])
-    centers = _eval_lattice(f, [_axis_centers(geom, b, d) for d in range(dim)])
-    neg = nodes < 0.0
-    pos = nodes > 0.0
-    all_neg = np.ones(tuple(b.extents()), dtype=bool)
-    all_pos = np.ones(tuple(b.extents()), dtype=bool)
-    for corner in itertools.product((0, 1), repeat=dim):
-        sl = tuple(slice(c, c + e) for c, e in zip(corner, b.extents()))
-        all_neg &= neg[sl]
-        all_pos &= pos[sl]
-    all_neg &= centers < 0.0
-    all_pos &= centers > 0.0
-    flags = np.full(tuple(b.extents()), CUT, dtype=np.int8)
-    flags[all_neg] = REGULAR
-    flags[all_pos] = COVERED
-    return flags
+def _sub_x(geom, d, s, lo, j):
+    """Subsample j along d of the box with lo corner lo, counted from lo."""
+    return geom.prob_lo[d] + ((lo - geom.domain.lo[d]) + (j + 0.5) / s) * geom.cell_size[d]
+
+
+class _Cells:
+    """Every cell of a list of boxes, box after box and in C order within a
+    box.  box is the box number of each cell; local, lo and ext are (D, N)
+    arrays of the cell's index within its box, the box's lo corner and the
+    box's extents."""
+
+    def __init__(self, bounds):
+        lo = bounds[:, 0]
+        ext = bounds[:, 1] - lo + 1
+        ncell = ext.prod(axis=1)
+        self.start = np.cumsum(ncell) - ncell
+        self.shapes = [tuple(e) for e in ext.tolist()]
+        self.box = np.repeat(np.arange(len(bounds)), ncell)
+        self.lo = lo[self.box].T
+        self.ext = ext[self.box].T
+        rank = np.arange(self.box.size) - self.start[self.box]
+        self.local = np.empty_like(self.ext)
+        for d in reversed(range(bounds.shape[2])):
+            rank, self.local[d] = np.divmod(rank, self.ext[d])
+
+    def step(self, d):
+        """Flat distance from each cell to its neighbor along d."""
+        return self.ext[d + 1 :].prod(axis=0)
+
+    def boxes(self, arr):
+        """Per box, the slice of a (..., N) array reshaped to the box."""
+        for g, (start, shape) in enumerate(zip(self.start, self.shapes)):
+            block = arr[..., start : start + math.prod(shape)]
+            yield g, block.reshape(arr.shape[:-1] + shape)
+
+
+def _center_values(f, geom, cells):
+    index = cells.lo + cells.local
+    return _eval_at(f, [_center_x(geom, d, index[d]) for d in range(len(index))])
+
+
+def _classify_cells(f, geom, cells, centers):
+    """Flags and the uncertified mask of every cell, given its center value.
+
+    A cell whose center value exceeds lip * half_diagonal in magnitude has
+    one sign on its whole closure, so it is certified REGULAR or COVERED.
+    Every other cell is flagged from its 2^D corner samples plus the center
+    tie-guard, with each corner node evaluated once.
+    """
+    dim = cells.local.shape[0]
+    lip = getattr(f, "lip", None)
+    if lip is None:
+        uncertified = np.ones(centers.shape, dtype=bool)
+    else:
+        half_diag = 0.5 * float(np.sqrt(np.square(geom.cell_size).sum()))
+        uncertified = ~(np.abs(centers) > lip * half_diag * (1.0 + 1e-9))
+    flags = np.full(centers.shape, CUT, dtype=np.int8)
+    flags[~uncertified & (centers < 0.0)] = REGULAR
+    flags[~uncertified & (centers > 0.0)] = COVERED
+    u = np.flatnonzero(uncertified)
+    if u.size:
+        corners = np.indices((2,) * dim).reshape(dim, 1, 2**dim)
+        nodes = (cells.lo[:, u, None] + cells.local[:, u, None] + corners).reshape(dim, -1)
+        lo = nodes.min(axis=1)
+        dims = tuple(nodes.max(axis=1) - lo + 1)
+        keys, inverse = np.unique(
+            np.ravel_multi_index(tuple(nodes - lo[:, None]), dims), return_inverse=True
+        )
+        uniq = np.unravel_index(keys, dims)
+        vals = _eval_at(f, [_node_x(geom, d, uniq[d] + lo[d]) for d in range(dim)])
+        corner = vals[inverse.reshape(-1)].reshape(u.size, 2**dim)
+        flags[u[(corner < 0.0).all(axis=1) & (centers[u] < 0.0)]] = REGULAR
+        flags[u[(corner > 0.0).all(axis=1) & (centers[u] > 0.0)]] = COVERED
+    return flags, uncertified
 
 
 def classify(f, geom, ba, dm=None):
@@ -275,9 +350,47 @@ def classify(f, geom, ba, dm=None):
     if dm is None:
         dm = DistributionMapping.single_rank(len(ba))
     out = FabArray(ba, dm, ncomp=1, ngrow=0, dtype=np.int8)
-    for g in range(len(ba)):
-        out.fab(g).valid(0)[...] = _classify_box(f, geom, ba[g])
+    cells = _Cells(ba.bounds())
+    flags = _classify_cells(f, geom, cells, _center_values(f, geom, cells))[0]
+    for g, block in cells.boxes(flags):
+        out.fab(g).valid(0)[...] = block
     return out
+
+
+def _sample_sums(block, weights):
+    """Per row of an (n, k_1, ..., k_m) boolean block: the number of true
+    samples, and for each sample axis a the sum of weights[a][i_a] over
+    them.  The weights are integers, and so is every partial sum of the
+    float product, so the int64 results are exact."""
+    n, shape = block.shape[0], block.shape[1:]
+    k = np.indices(shape).reshape(len(shape), math.prod(shape))
+    table = np.stack([np.ones(k.shape[1])] + [wa[ka] for wa, ka in zip(weights, k)], axis=1)
+    out = (block.reshape(n, k.shape[1]) @ table).astype(np.int64)
+    return out[:, 0], out[:, 1:].T
+
+
+def _fluid_samples(f, geom, cells, sel, s, d=None, side=0):
+    """Fluid mask (n, s, ..., s) of the s^D subsamples of cells sel, or with
+    d given, of the s^(D-1) subsamples of their low (side 0) or high
+    (side 1) face along d."""
+    dim = cells.local.shape[0]
+    trans = [e for e in range(dim) if e != d]
+    k = np.indices((s,) * len(trans)).reshape(len(trans), s ** len(trans))
+    cols = []
+    for e in range(dim):
+        lo, local = cells.lo[e][sel, None], cells.local[e][sel, None]
+        if e == d:
+            cols.append(_node_x(geom, e, lo + local + side))
+        else:
+            cols.append(_sub_x(geom, e, s, lo, local * s + k[trans.index(e)]))
+    return (_eval_at(f, cols) < 0.0).reshape((len(sel),) + (s,) * len(trans))
+
+
+_CHUNK_POINTS = 1 << 18  # subsamples per CSG evaluation; bounds the temporaries
+
+
+def _chunks(sel, per_item):
+    return np.array_split(sel, max(1, -(-len(sel) * per_item // _CHUNK_POINTS)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +428,14 @@ class EBLevelData:
 def compute_moments(f, geom, ba, subsamples=4, dm=None):
     """Subsampled cut-cell moments; s**D interior and s**(D-1) face samples.
 
+    The whole level is done at once.  Only cells that the Lipschitz bound
+    leaves uncertified are subsampled, and of their faces only those that
+    no certified cell of the same box touches; certified cells and faces
+    take the all-fluid or all-body values.  Subsample k of s sits at the
+    cell-relative offset (2k + 1 - s) / (2s), so every centroid is an
+    integer weight sum divided once by 2s times the sample count: correctly
+    rounded for every s, whatever the box layout.
+
     The boundary area and normal come from the face-balance vector
     v_d = aLo_d - aHi_d (divergence theorem), so A_eb = |v| and
     normal = v/|v| points from fluid into body.  A cut-flagged cell whose
@@ -328,127 +449,98 @@ def compute_moments(f, geom, ba, subsamples=4, dm=None):
         dm = DistributionMapping.single_rank(len(ba))
     dim = geom.dim
     data = EBLevelData(geom, ba, dm, s)
-    sub_off = (np.arange(s) + 0.5) / s - 0.5  # cell-relative subsample offsets
-    for g in range(len(ba)):
-        b = ba[g]
-        ext = tuple(b.extents())
-        flags = _classify_box(f, geom, b)
+    cells = _Cells(ba.bounds())
+    n = cells.box.size
+    centers = _center_values(f, geom, cells)
+    flags, uncertified = _classify_cells(f, geom, cells, centers)
+    wet = ~uncertified & (centers < 0.0)  # certified all-fluid cells
+    w = 2 * np.arange(s) + 1 - s  # subsample offsets in units of dx / (2s)
+    w_pair = 2 * np.arange(s - 1) + 2 - s  # midpoints of neighboring subsamples
 
-        # interior subsamples: shape (e0*s, e1*s, ...) -> (e0, s, e1, s, ...)
-        vals = _eval_lattice(f, [_axis_sub(geom, b, d, s) for d in range(dim)])
-        fluid = vals < 0.0
-        split = fluid.reshape(tuple(x for e in ext for x in (e, s)))
-        sum_axes = tuple(range(1, 2 * dim, 2))
-        count = split.sum(axis=sum_axes)
-        vol = count / float(s**dim)
-        data.volfrac.fab(g).valid(0)[...] = vol
-
-        cent = np.zeros((dim,) + ext)
-        denom = np.maximum(count, 1)
+    # interior subsamples of the uncertified cells: fluid count and first
+    # moments, and for the boundary centroid the sign changes between
+    # neighboring subsamples with their midpoints
+    count = np.where(wet, s**dim, 0)
+    num = np.zeros((dim, n), dtype=np.int64)
+    ccount = np.zeros(n, dtype=np.int64)
+    csum = np.zeros((dim, n), dtype=np.int64)
+    for sel in _chunks(np.flatnonzero(uncertified), s**dim):
+        fluid = _fluid_samples(f, geom, cells, sel, s)
+        count[sel], num[:, sel] = _sample_sums(fluid, [w] * dim)
         for d in range(dim):
-            shape = [1] * (2 * dim)
-            shape[2 * d + 1] = s
-            w = sub_off.reshape(shape)
-            cent[d] = (split * w).sum(axis=sum_axes) / denom
-        data.centroid.fab(g).valid()[...] = cent
+            change = np.diff(fluid, axis=d + 1)
+            c, sums = _sample_sums(change, [w_pair if e == d else w for e in range(dim)])
+            ccount[sel] += c
+            csum[:, sel] += sums
+    vol = count / float(s**dim)
 
-        # face fractions and centroids per dimension
-        alo = np.zeros((dim,) + ext)
-        ahi = np.zeros((dim,) + ext)
-        fcl = np.zeros((dim * dim,) + ext)
-        fch = np.zeros((dim * dim,) + ext)
-        for d in range(dim):
-            coords = [
-                _axis_nodes(geom, b, e) if e == d else _axis_sub(geom, b, e, s)
-                for e in range(dim)
-            ]
-            fvals = _eval_lattice(f, coords) < 0.0
-            # collapse transverse subsamples per face
-            shape = []
-            for e in range(dim):
-                if e == d:
-                    shape.append(ext[e] + 1)
-                else:
-                    shape.extend((ext[e], s))
-            fsplit = fvals.reshape(tuple(shape))
-            t_axes = []
-            pos = 0
-            for e in range(dim):
-                if e == d:
-                    pos += 1
-                else:
-                    t_axes.append(pos + 1)
-                    pos += 2
-            t_axes = tuple(t_axes)
-            fcount = fsplit.sum(axis=t_axes)
-            frac = fcount / float(s ** (dim - 1))
-            sl_lo = tuple(slice(0, ext[e]) if e == d else slice(None) for e in range(dim))
-            sl_hi = tuple(slice(1, ext[e] + 1) if e == d else slice(None) for e in range(dim))
-            alo[d] = frac[sl_lo]
-            ahi[d] = frac[sl_hi]
-            fdenom = np.maximum(fcount, 1)
-            for e in range(dim):
-                comp = d * dim + e
-                if e == d:
-                    fcl[comp] = -0.5
-                    fch[comp] = 0.5
-                    continue
-                wshape = [1] * len(shape)
-                w_axis = t_axes[[x for x in range(dim) if x != d].index(e)]
-                wshape[w_axis] = s
-                w = sub_off.reshape(wshape)
-                fcent = (fsplit * w).sum(axis=t_axes) / fdenom
-                fcl[comp] = fcent[sl_lo]
-                fch[comp] = fcent[sl_hi]
-        data.area_lo.fab(g).valid()[...] = alo
-        data.area_hi.fab(g).valid()[...] = ahi
-        data.face_cent_lo.fab(g).valid()[...] = fcl
-        data.face_cent_hi.fab(g).valid()[...] = fch
+    # face fractions and centroids per dimension.  Each cell samples its low
+    # face when no certified cell of its box touches it, and its high face
+    # when that lies on the box edge; other faces take a neighbor's value.
+    full = s ** (dim - 1)
+    alo = np.zeros((dim, n))
+    ahi = np.zeros((dim, n))
+    fcl = np.zeros((dim * dim, n))
+    fch = np.zeros((dim * dim, n))
+    for d in range(dim):
+        first = cells.local[d] == 0
+        last = cells.local[d] == cells.ext[d] - 1
+        below = np.where(first, 0, np.arange(n) - cells.step(d))
+        above = np.where(last, 0, np.arange(n) + cells.step(d))
+        lo_count = np.where(wet | (wet[below] & ~first), full, 0)
+        lo_num = np.zeros((dim - 1, n), dtype=np.int64)
+        sampled = uncertified & (uncertified[below] | first)
+        for sel in _chunks(np.flatnonzero(sampled), full):
+            block = _fluid_samples(f, geom, cells, sel, s, d, 0)
+            lo_count[sel], lo_num[:, sel] = _sample_sums(block, [w] * (dim - 1))
+        hi_count = np.where(last, np.where(wet, full, 0), lo_count[above])
+        hi_num = np.where(last, 0, lo_num[:, above])
+        for sel in _chunks(np.flatnonzero(uncertified & last), full):
+            block = _fluid_samples(f, geom, cells, sel, s, d, 1)
+            hi_count[sel], hi_num[:, sel] = _sample_sums(block, [w] * (dim - 1))
+        alo[d] = lo_count / float(full)
+        ahi[d] = hi_count / float(full)
+        trans = [e for e in range(dim) if e != d]
+        for e in range(dim):
+            comp = d * dim + e
+            if e == d:
+                fcl[comp] = -0.5
+                fch[comp] = 0.5
+            else:
+                fcl[comp] = lo_num[trans.index(e)] / (2 * s * np.maximum(lo_count, 1))
+                fch[comp] = hi_num[trans.index(e)] / (2 * s * np.maximum(hi_count, 1))
 
-        # boundary area/normal from the face balance
-        v = alo - ahi
-        vmag = np.sqrt((v**2).sum(axis=0))
-        cut = flags == CUT
-        degenerate = cut & (vmag == 0.0)
-        if degenerate.any():
-            for cell in np.argwhere(degenerate):
-                vote = REGULAR if vol[tuple(cell)] >= 0.5 else COVERED
-                flags[tuple(cell)] = vote
-                data.diagnostics.append(
-                    (g, tuple(int(c + b.lo[d]) for d, c in enumerate(cell)), vote)
-                )
-            cut = cut & ~degenerate
-        area = np.where(cut, vmag, 0.0)
-        normal = np.where(cut & (vmag > 0), v / np.maximum(vmag, 1e-300), 0.0)
-        data.eb_area.fab(g).valid(0)[...] = area
-        data.eb_normal.fab(g).valid()[...] = normal
+    # boundary area/normal from the face balance
+    v = alo - ahi
+    vmag = np.sqrt((v**2).sum(axis=0))
+    cut = flags == CUT
+    degenerate = cut & (vmag == 0.0)
+    for c in np.flatnonzero(degenerate):
+        vote = REGULAR if vol[c] >= 0.5 else COVERED
+        flags[c] = vote
+        cell = tuple(int(cells.lo[d, c] + cells.local[d, c]) for d in range(dim))
+        data.diagnostics.append((int(cells.box[c]), cell, vote))
+    cut &= ~degenerate
+    area = np.where(cut, vmag, 0.0)
+    normal = np.where(cut & (vmag > 0), v / np.maximum(vmag, 1e-300), 0.0)
+    # boundary centroid: midpoints of sign-changing subsample pairs
+    ebc = np.where(cut, csum / (2 * s * np.maximum(ccount, 1)), 0.0)
 
-        # boundary centroid: midpoints of sign-changing subsample pairs
-        csum = np.zeros((dim,) + ext)
-        ccount = np.zeros(ext)
-        sgn = vals < 0.0
-        for d in range(dim):
-            full = tuple(x for e in ext for x in (e, s))
-            sg = sgn.reshape(full)
-            axis = 2 * d + 1
-            a = np.take(sg, np.arange(s - 1), axis=axis)
-            bb = np.take(sg, np.arange(1, s), axis=axis)
-            change = a != bb  # (..., s-1, ...) pairs within one cell
-            pair_mid = (sub_off[:-1] + sub_off[1:]) / 2.0
-            for e in range(dim):
-                shape = [1] * (2 * dim)
-                if e == d:
-                    shape[axis] = s - 1
-                    w = pair_mid.reshape(shape)
-                else:
-                    shape[2 * e + 1] = s
-                    w = sub_off.reshape(shape)
-                csum[e] += (change * w).sum(axis=sum_axes)
-            ccount += change.sum(axis=sum_axes)
-        ebc = csum / np.maximum(ccount, 1)
-        data.eb_centroid.fab(g).valid()[...] = np.where(cut, ebc, 0.0)
-
-        data.flags.fab(g).valid(0)[...] = flags
+    out = (
+        (data.flags, flags[None]),
+        (data.volfrac, vol[None]),
+        (data.centroid, num / (2 * s * np.maximum(count, 1))),
+        (data.area_lo, alo),
+        (data.area_hi, ahi),
+        (data.face_cent_lo, fcl),
+        (data.face_cent_hi, fch),
+        (data.eb_area, area[None]),
+        (data.eb_normal, normal),
+        (data.eb_centroid, ebc),
+    )
+    for fa, arr in out:
+        for g, block in cells.boxes(arr):
+            fa.fab(g).data[...] = block  # no ghost cells: data is the valid region
     return data
 
 
@@ -545,13 +637,8 @@ def build_level_set(f, geom, ba, refine_ratio=1, dm=None):
     fa = FabArray(ba_nodes, dm, 1, 0)
     for g in range(len(ba_nodes)):
         nb = ba_nodes[g]
-        coords = [
-            geom_f.prob_lo[d]
-            + (np.arange(nb.lo[d], nb.hi[d] + 1) - geom_f.domain.lo[d])
-            * geom_f.cell_size[d]
-            for d in range(geom.dim)
-        ]
-        fa.fab(g).valid(0)[...] = _eval_lattice(f, coords)
+        coords = [_node_x(geom_f, d, np.arange(nb.lo[d], nb.hi[d] + 1)) for d in range(geom.dim)]
+        fa.fab(g).valid(0)[...] = _eval_at(f, np.ix_(*coords))
     return LevelSet(fa, geom_f, refine_ratio)
 
 
@@ -560,10 +647,11 @@ def covered_box_predicate(f, geom):
     body (every cell classifies covered)."""
 
     def pred(b):
-        nodes = _eval_lattice(f, [_axis_nodes(geom, b, d) for d in range(b.dim)])
-        if not (nodes > 0.0).all():
+        axes = [_center_x(geom, d, np.arange(b.lo[d], b.hi[d] + 1)) for d in range(b.dim)]
+        centers = _eval_at(f, np.ix_(*axes)).reshape(-1)
+        if not (centers > 0.0).all():
             return False
-        centers = _eval_lattice(f, [_axis_centers(geom, b, d) for d in range(b.dim)])
-        return bool((centers > 0.0).all())
+        cells = _Cells(np.array([(b.lo, b.hi)]))
+        return bool((_classify_cells(f, geom, cells, centers)[0] == COVERED).all())
 
     return pred

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import counters
 from .boxarray import on_free
-from .index_space import Box, IntVect, box_diff
+from .index_space import IntVect, box_diff
 from .transport import TransportError
 
 
@@ -58,9 +58,6 @@ class Fab:
     def valid(self, comp=None):
         return self.slice(self.box, comp)
 
-    def array(self):
-        return ArrayView(self)
-
     def setval(self, value, comp=None, ghosts=True):
         if ghosts:
             if comp is None:
@@ -69,32 +66,6 @@ class Fab:
                 self.data[comp, ...] = value
         else:
             self.slice(self.box, comp)[...] = value
-
-
-class ArrayView:
-    """Global-index window onto a Fab's storage; does not own the data.
-
-    Indexing is (i, j, k, n) in 3D, (i, j, n) in 2D, (i, n) in 1D: spatial
-    coordinates in global index space followed by the component.
-    """
-
-    __slots__ = ("data", "lo", "dim")
-
-    def __init__(self, fab):
-        self.data = fab.data
-        self.lo = fab.gbox.lo
-        self.dim = fab.box.dim
-
-    def _key(self, key):
-        if len(key) != self.dim + 1:
-            raise IndexError(f"expected {self.dim + 1} indices (spatial + component)")
-        return (key[-1],) + tuple(key[d] - self.lo[d] for d in range(self.dim))
-
-    def __getitem__(self, key):
-        return self.data[self._key(key)]
-
-    def __setitem__(self, key, value):
-        self.data[self._key(key)] = value
 
 
 class FabArray:
@@ -117,55 +88,10 @@ class FabArray:
     def fab(self, i):
         return self.fabs[i]
 
-    def local_indices(self, rank=None):
-        if rank is None:
-            return list(range(len(self.ba)))
-        return self.dm.owned_indices(rank)
-
     def setval(self, value, comp=None, ghosts=True):
         for f in self.fabs.values():
             f.setval(value, comp, ghosts)
         return self
-
-    def copy_shape(self, ncomp=None, ngrow=None):
-        return FabArray(
-            self.ba,
-            self.dm,
-            self.ncomp if ncomp is None else ncomp,
-            self.ngrow if ngrow is None else ngrow,
-            self.dtype,
-        )
-
-
-def iterate_tiles(fa, tile_size, body):
-    """Call body(box_index, tile) for every tile of every box.
-
-    Tiles are anchored at each box's lo corner and clipped at its hi, so
-    they partition the valid region exactly; a tile size at least as large
-    as the box turns tiling off (one tile == the box).
-    """
-    if isinstance(tile_size, int):
-        tile_size = IntVect((tile_size,) * fa.dim)
-    elif not isinstance(tile_size, IntVect):
-        tile_size = IntVect(tile_size)
-    if any(t < 1 for t in tile_size):
-        raise ValueError("tile size must be >= 1 per dimension")
-    for i in range(len(fa.ba)):
-        for tile in tiles_of(fa.ba[i], tile_size):
-            body(i, tile)
-
-
-def tiles_of(box, tile_size):
-    ranges = [
-        range(box.lo[d], box.hi[d] + 1, tile_size[d]) for d in range(box.dim)
-    ]
-    for corner in itertools.product(*ranges):
-        lo = IntVect(corner)
-        hi = IntVect(
-            min(corner[d] + tile_size[d] - 1, box.hi[d]) for d in range(box.dim)
-        )
-        yield Box(lo, hi, box.ixtype)
-
 
 # ---------------------------------------------------------------------------
 # communication plans

@@ -202,11 +202,6 @@ class Box:
     def empty(dim, ixtype=None):
         return Box(IntVect.zero(dim), IntVect((-1,) + (0,) * (dim - 1)), ixtype)
 
-    @staticmethod
-    def from_extent(lo, extent, ixtype=None):
-        lo = lo if isinstance(lo, IntVect) else IntVect(lo)
-        return Box(lo, lo + IntVect(extent) - IntVect.unit(lo.dim), ixtype)
-
     @property
     def dim(self):
         return self.lo.dim

@@ -196,3 +196,52 @@ def test_boundary_record_must_match_geometry():
     geom = Geometry(Box(IntVect(0, 0), IntVect(7, 7)), (0.0, 0.0), (1.0, 1.0), True)
     with pytest.raises(ValueError):
         BoundaryRecord.all_extrap(2).check_against(geom)
+
+
+def _buffer_tags_reference(hier, tags, lev, radius):
+    # the per-candidate loop that AmrHierarchy._buffer_tags replaced
+    if radius <= 0:
+        return set(tags)
+    dom = hier.geom(lev).domain
+    per = hier.geom(lev).periodic
+    ext = dom.extents()
+    out = set()
+    offsets = list(np.ndindex(*(2 * radius + 1,) * hier.dim))
+    for t in tags:
+        for off in offsets:
+            c = [t[d] + off[d] - radius for d in range(hier.dim)]
+            ok = True
+            for d in range(hier.dim):
+                if per[d]:
+                    c[d] = dom.lo[d] + (c[d] - dom.lo[d]) % ext[d]
+                elif not dom.lo[d] <= c[d] <= dom.hi[d]:
+                    ok = False
+                    break
+            if ok:
+                out.add(IntVect(c))
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_buffer_tags_matches_reference_loop(rng, dim):
+    n = 16 if dim == 2 else 8
+    for periodic in [(False,) * dim, (True,) * dim, (True,) + (False,) * (dim - 1)]:
+        domain = Box(IntVect([2] * dim), IntVect([2 + n - 1] * dim))
+        geom = Geometry(domain, (0.0,) * dim, (1.0,) * dim, periodic)
+        hier = AmrHierarchy(geom, _params(dim, max_grid_size=n, blocking_factor=4))
+        for radius in range(4):
+            for nclusters, spread in ((1, 1), (3, 3), (6, n)):
+                tags = set(_random_tags(rng, domain, nclusters, spread))
+                got = hier._buffer_tags(tags, 0, radius)
+                assert got == _buffer_tags_reference(hier, tags, 0, radius)
+                assert all(isinstance(t, IntVect) for t in got)
+        assert hier._buffer_tags(set(), 0, 2) == set()
+
+
+def test_cluster_tags_rejects_tags_outside_the_domain():
+    domain = Box(IntVect(0, 0), IntVect(15, 15))
+    params = _params(2)
+    with pytest.raises(ValueError, match=r"tag \(16, 3\) outside"):
+        cluster_tags([IntVect(2, 2), IntVect(16, 3)], params, domain)
+    with pytest.raises(ValueError, match=r"tag \(-1, 0\) outside"):
+        cluster_tags([IntVect(-1, 0)], params, domain)

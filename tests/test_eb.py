@@ -12,6 +12,7 @@ from amrkit.eb import (
     CUT,
     REGULAR,
     EBLevelData,
+    ImplicitFunction,
     box,
     build_level_set,
     classify,
@@ -31,6 +32,8 @@ from amrkit.eb import (
 )
 from amrkit.fabarray import FabArray, gather_global
 from amrkit.index_space import Box, IntVect
+from conftest import random_cover
+import eb_reference
 
 
 def _geom(n, dim=2, lo=-1.0, hi=1.0):
@@ -96,6 +99,64 @@ def test_parse_csg_matches_builtin_composite(rng):
     builtin = listing_csg()
     p = _pts(rng, 2000, 3)
     assert np.array_equal(parsed(p), builtin(p))
+
+
+def _lipschitz_bodies(dim):
+    c = (0.1, -0.2, 0.05)[:dim]
+    prims = [
+        sphere(0.5, c),
+        box((-0.4,) * dim, (0.3,) * dim),
+        cylinder(0.3, 0, c),
+        cylinder(0.25, dim - 1, (0.0,) * dim),
+    ]
+    a, b, cyl, _ = prims
+    bodies = prims + [
+        union(a, b, cyl),
+        intersection(a, b),
+        complement(a),
+        difference(b, cyl),
+        translate(difference(a, b), (0.2,) * dim),
+        rotate(b, dim - 1, 0.7, center=c),
+        rotate(union(b, complement(cyl)), 0, -1.3),
+    ]
+    if dim == 3:
+        bodies += [
+            listing_csg(),
+            parse_csg(
+                "difference(intersection(sphere(0.52, (0.1, -0.05, 0.0)), "
+                "box((-0.3, -0.45, -0.4), (0.5, 0.35, 0.4))), union(cylinder(0.2, 0, "
+                "(0.1, -0.05, 0.0)), rotate(cylinder(0.2, 1, (0, 0, 0)), 2, 0.3)))"
+            ),
+        ]
+    else:
+        bodies += [
+            parse_csg("union(sphere(0.3, (0.2, 0.1)), rotate(box((0, 0), (0.5, 0.2)), 2, 1.0))"),
+            parse_csg("complement(translate(difference(box((-1, -1), (1, 1)), "
+                      "sphere(0.6, (0, 0))), (0.1, -0.3)))"),
+        ]
+    return bodies
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lipschitz_bounds_hold(rng, dim):
+    p = _pts(rng, 4000, dim, -1.5, 1.5)
+    q = np.concatenate([
+        _pts(rng, 2000, dim, -1.5, 1.5),
+        p[2000:] + 0.01 * rng.normal(size=(2000, dim)),
+    ])
+    dist = np.sqrt(((p - q) ** 2).sum(axis=1))
+    for f in _lipschitz_bodies(dim):
+        assert f.lip == 1.0, f
+        assert (np.abs(f(p) - f(q)) <= f.lip * dist * (1 + 1e-12)).all(), f
+
+
+def test_user_functions_have_no_lipschitz_bound():
+    user = ImplicitFunction(lambda p: 0.5 - np.abs(p).sum(axis=1))
+    assert user.lip is None
+    assert union(sphere(0.5, (0, 0)), user).lip is None
+    assert complement(user).lip is None
+    assert rotate(translate(user, (0.1, 0.0)), 2, 0.5).lip is None
+    assert intersection(box((0, 0), (1, 1)), lambda p: p[:, 0]).lip is None
 
 
 def test_parse_csg_rejects_arbitrary_code():
@@ -191,6 +252,139 @@ def test_sphere_volume_two_dim(rng):
     ) * cellvol
     fluid = 4.0 - np.pi * 0.25  # square minus the disc
     assert abs(total - fluid) / fluid < 0.01
+
+
+# -- certified moments against the whole-box reference ------------------------
+
+_EXACT = ("flags", "volfrac", "area_lo", "area_hi", "eb_area", "eb_normal")
+_CENTROIDS = ("centroid", "face_cent_lo", "face_cent_hi", "eb_centroid")
+
+
+def _assert_same_moments(got, want, centroids_exact):
+    assert got.diagnostics == want.diagnostics
+    for name in _EXACT + _CENTROIDS:
+        a, b = getattr(got, name), getattr(want, name)
+        for g in range(len(got.ba)):
+            x, y = a.fab(g).data, b.fab(g).data
+            if centroids_exact or name in _EXACT:
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, g)
+            else:
+                assert np.allclose(x, y, rtol=0.0, atol=1e-15), (name, g)
+
+
+def _near_grid_body(rng, geom):
+    """A random CSG body whose surfaces pass through, or within 1e-9 dx of,
+    cell corners and faces, mixed with freely placed parts."""
+    dim = geom.dim
+    dx = geom.cell_size[0]
+    n = geom.domain.extents()[0]
+
+    def node(d):
+        eps = float(rng.choice([0.0, 1e-9, -1e-9])) * dx
+        return geom.prob_lo[d] + int(rng.integers(1, n)) * geom.cell_size[d] + eps
+
+    def prim():
+        kind = int(rng.integers(4))
+        center = tuple(node(d) for d in range(dim))
+        if kind == 0:
+            r = int(rng.integers(2, n // 2)) * dx + float(rng.choice([0.0, 1e-9, -1e-9])) * dx
+            return sphere(r, center)
+        if kind == 1:
+            lo = [node(d) for d in range(dim)]
+            hi = [x + int(rng.integers(2, n // 2)) * dx for x in lo]
+            return box(lo, hi)
+        if kind == 2:
+            return cylinder(float(rng.uniform(0.2, 0.5)), int(rng.integers(dim)), center)
+        free = tuple(float(x) for x in rng.uniform(-0.4, 0.4, dim))
+        return rotate(sphere(float(rng.uniform(0.3, 0.6)), free), dim - 1, float(rng.uniform(0, 3)))
+
+    a, b, c = prim(), prim(), prim()
+    body = [union(a, b), intersection(a, complement(b)), difference(union(a, c), b)][
+        int(rng.integers(3))
+    ]
+    if rng.random() < 0.3:
+        body = translate(body, tuple(int(rng.integers(-2, 3)) * dx for _ in range(dim)))
+    return body
+
+
+@pytest.mark.parametrize("dim,n", [(2, 20), (3, 10)])
+def test_certified_moments_match_whole_box_reference(rng, dim, n):
+    geom = _geom(n, dim=dim)
+    layouts = [
+        BoxArray([geom.domain]),
+        BoxArray([geom.domain]).max_size(4 if dim == 3 else 7),
+        random_cover(rng, geom.domain, nsplits=5),
+    ]
+    ncut = 0
+    for _ in range(3):
+        f = _near_grid_body(rng, geom)
+        for ba in layouts[: 3 if dim == 2 else 2]:
+            for s in (2, 3, 4, 5, 8):
+                got = compute_moments(f, geom, ba, subsamples=s)
+                want = eb_reference.compute_moments(f, geom, ba, subsamples=s)
+                _assert_same_moments(got, want, centroids_exact=s in (2, 4, 8))
+                ncut += sum(int((got.flags.fab(g).data == CUT).sum()) for g in range(len(ba)))
+    assert ncut > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_user_function_takes_every_cell_through_subsampling(rng, dim):
+    geom = _geom(12 if dim == 3 else 24, dim=dim)
+    ba = BoxArray([geom.domain]).max_size(5)
+    f = _near_grid_body(rng, geom)
+    user = ImplicitFunction(lambda p: f(p))
+    for s in (3, 4):
+        _assert_same_moments(
+            compute_moments(user, geom, ba, subsamples=s),
+            compute_moments(f, geom, ba, subsamples=s),
+            centroids_exact=True,
+        )
+    assert np.array_equal(
+        gather_global(classify(user, geom, ba), geom.domain),
+        gather_global(classify(f, geom, ba), geom.domain),
+    )
+
+
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_centroids_do_not_depend_on_the_box_layout(s):
+    geom = _geom(24, dim=3)
+    f = listing_csg()
+    first = None
+    for max_size in (24, 8, 5, 1):
+        data = compute_moments(f, geom, BoxArray([geom.domain]).max_size(max_size), s)
+        got = [
+            gather_global(getattr(data, name), geom.domain, comp=c)
+            for name in ("centroid", "eb_centroid")
+            for c in range(3)
+        ]
+        if first is None:
+            first = got
+        for a, b in zip(got, first):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_degenerate_cell_is_reflagged_by_majority_vote(dim):
+    # a body smaller than the subsample spacing at one cell center: the
+    # center is inside, every corner and subsample is fluid, so the face
+    # balance cancels and the vote makes the cell regular
+    geom = _geom(8, dim=dim)
+    cell = (3, 4, 5)[:dim]
+    center = geom.cell_center(IntVect(cell))
+    f = sphere(0.1 * geom.cell_size[0], center)
+    ba = BoxArray([geom.domain]).max_size(4)
+    g = next(i for i in range(len(ba)) if ba[i].contains(IntVect(cell)))
+    data = compute_moments(f, geom, ba, subsamples=4)
+    assert data.diagnostics == [(g, cell, REGULAR)]
+    local = tuple(c - lo for c, lo in zip(cell, ba[g].lo))
+    assert data.flags.fab(g).valid(0)[local] == REGULAR
+    assert (data.flags.fab(g).valid(0) == REGULAR).all()
+    assert data.volfrac.fab(g).valid(0)[local] == 1.0
+    assert data.eb_area.fab(g).valid(0)[local] == 0.0
+    for name in ("eb_normal", "eb_centroid"):
+        assert (getattr(data, name).fab(g).valid()[(slice(None),) + local] == 0.0).all()
+    want = eb_reference.compute_moments(f, geom, ba, subsamples=4)
+    _assert_same_moments(data, want, centroids_exact=True)
 
 
 # -- small-cell redistribution ---------------------------------------------------
