@@ -20,7 +20,7 @@ from . import coarse_fine
 from .boxarray import BoxArray
 from .distribution import DistributionMapping, default_costs, sfc_distribute
 from .fabarray import FabArray, parallel_copy
-from .index_space import Box, IndexType, IntVect
+from .index_space import Box, IndexType, IntVect, as_intvect
 
 
 class Geometry:
@@ -140,14 +140,6 @@ def apply_domain_boundary(fa, geom, record):
 # ---------------------------------------------------------------------------
 
 
-def _as_ivect(v, dim):
-    if isinstance(v, IntVect):
-        return v
-    if isinstance(v, int):
-        return IntVect((v,) * dim)
-    return IntVect(v)
-
-
 @dataclass(frozen=True)
 class GridGenParams:
     dim: int
@@ -160,12 +152,12 @@ class GridGenParams:
     nesting_buffer: int = 1
 
     def __post_init__(self):
-        mgs = _as_ivect(self.max_grid_size, self.dim)
-        bf = _as_ivect(self.blocking_factor, self.dim)
+        mgs = as_intvect(self.max_grid_size, self.dim)
+        bf = as_intvect(self.blocking_factor, self.dim)
         rr = self.ref_ratio
         if isinstance(rr, int):
             rr = [rr] * max(self.max_level, 1)
-        ratios = tuple(_as_ivect(r, self.dim) for r in rr)
+        ratios = tuple(as_intvect(r, self.dim) for r in rr)
         if len(ratios) < self.max_level:
             ratios = ratios + (ratios[-1],) * (self.max_level - len(ratios))
         object.__setattr__(self, "max_grid_size", mgs)
@@ -441,11 +433,11 @@ def enforce_proper_nesting(fine, coarse, ratio, domain, buffer=1, block=None):
     if buffer < 1:
         raise ValueError("nesting buffer must be >= 1")
     dim = domain.dim
-    ratio = _as_ivect(ratio, dim)
+    ratio = as_intvect(ratio, dim)
     if block is None:
         block = IntVect.unit(dim)
     else:
-        block = _as_ivect(block, dim)
+        block = as_intvect(block, dim)
     if not fine.boxes:
         return fine
     covered = _boxes_to_mask(coarse.boxes, domain)
@@ -596,21 +588,19 @@ class AmrHierarchy:
 
     def make_new_grids(self, lev, tags):
         """Grids for level lev+1 from tag cells at level lev (already buffered)."""
+        return self._fine_grids(lev, tags, self.ba(lev), self.geom(lev).domain)
+
+    def _fine_grids(self, lev, tags, coarse_ba, domain):
+        """Cluster tags at lev, refine, chop to max_grid_size and clip the
+        result to nest in coarse_ba."""
         params = self.params
         ratio = params.ref_ratio[lev]
-        coarse_ba = self.ba(lev)
-        dom = self.geom(lev).domain
-        clustered = cluster_tags(tags, params, dom, level=lev)
+        clustered = cluster_tags(tags, params, domain, level=lev)
         fine = clustered.refine(ratio).max_size(params.max_grid_size)
-        fine = enforce_proper_nesting(
-            fine,
-            coarse_ba,
-            ratio,
-            dom,
-            params.nesting_buffer,
+        return enforce_proper_nesting(
+            fine, coarse_ba, ratio, domain, params.nesting_buffer,
             block=params.blocking_factor,
         )
-        return fine
 
     def regrid(self, base, tag_fn, transport):
         """Rebuild levels base+1 .. max_level from fresh tags.
@@ -647,16 +637,10 @@ class AmrHierarchy:
             if not tags:
                 break
             coarse = new_levels[lev]
-            clustered = cluster_tags(tags, params, coarse.geom.domain, level=lev)
-            ratio = params.ref_ratio[lev]
-            fine_ba = clustered.refine(ratio).max_size(params.max_grid_size)
-            fine_ba = enforce_proper_nesting(
-                fine_ba, coarse.ba, ratio, coarse.geom.domain,
-                params.nesting_buffer, block=params.blocking_factor,
-            )
+            fine_ba = self._fine_grids(lev, tags, coarse.ba, coarse.geom.domain)
             if not len(fine_ba):
                 break
-            fine_geom = coarse.geom.refine(ratio)
+            fine_geom = coarse.geom.refine(params.ref_ratio[lev])
             fine_dm = self.distribute(fine_ba, self.nranks)
             new_levels.append(_LevelState(fine_geom, fine_ba, fine_dm))
         self.levels = new_levels

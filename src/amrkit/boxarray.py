@@ -9,11 +9,12 @@ ghost cells) touches at most 3 bins per dimension no matter how many boxes
 the collection holds.
 
 Next to the Box tuple a layout keeps an array form, an ``(N, 2, D)`` int64
-array of lo/hi corners built on first use, and ``owners_at`` answers many
-point queries at once from it: bin keys are computed in numpy, looked up
-in the hash's sorted key array and tested for containment in one pass, so
-locating particles makes no per-point Python objects.  ``owner_at`` is
-its one-point form.
+array of lo/hi corners built on first use, and the hash is built from it in
+numpy.  ``intersections`` also takes an ``(M, 2, D)`` array of query boxes
+and answers them all at once: bin keys are computed in numpy, looked up in
+the hash's sorted key array and the overlaps cut in one pass, so a batch
+makes no per-query Python objects.  ``owners_at`` is its point form
+(lo == hi), and ``validate`` one uncounted self-query.
 
 Layouts are immutable and identified by a process-unique uid, so caches
 key derived data (communication plans, coarsened layouts) on uids.
@@ -29,7 +30,7 @@ import weakref
 import numpy as np
 
 from . import counters
-from .index_space import Box, IndexType, IntVect, box_diff
+from .index_space import Box, IntVect, as_intvect, box_diff
 
 _uid_lock = threading.Lock()
 _uid_next = itertools.count(1)
@@ -91,17 +92,18 @@ class BoxArray:
         raise AttributeError("BoxArray is immutable")
 
     def validate(self):
-        """Check pairwise disjointness; raises naming the first offending pair."""
+        """Check pairwise disjointness; raises naming the overlapping pair
+        with the lowest indices.  One uncounted self-query of the index."""
         if len(self.boxes) > 1:
-            hash_ = _BuiltHash(self.boxes)
-            for i, b in enumerate(self.boxes):
-                for j in hash_.candidates(b, count=False):
-                    if j != i and self.boxes[j].intersects(b):
-                        lo, hi = sorted((i, j))
-                        raise ValueError(
-                            f"boxes {lo} and {hi} overlap: "
-                            f"{self.boxes[lo]!r} vs {self.boxes[hi]!r}"
-                        )
+            b = self.bounds()
+            q, j = self._get_hash().meeting(b[:, 0].T, b[:, 1].T, count=False)
+            hit = np.flatnonzero(q < j)
+            if hit.shape[0]:
+                lo, hi = int(q[hit[0]]), int(j[hit[0]])
+                raise ValueError(
+                    f"boxes {lo} and {hi} overlap: "
+                    f"{self.boxes[lo]!r} vs {self.boxes[hi]!r}"
+                )
         return True
 
     @property
@@ -168,10 +170,7 @@ class BoxArray:
     def max_size(self, m):
         """Chop every box so no extent exceeds m, cutting at multiples of m
         measured from each box's own lo corner (remainder chunk last)."""
-        if isinstance(m, int):
-            m = IntVect((m,) * self.dim)
-        elif not isinstance(m, IntVect):
-            m = IntVect(m)
+        m = as_intvect(m, self.dim)
         if any(x < 1 for x in m):
             raise ValueError("max_size must be >= 1 per dimension")
         out = []
@@ -202,9 +201,10 @@ class BoxArray:
 
     def _get_hash(self):
         if self._hash is None:
+            bounds = self.bounds()
             with self._hash_lock:
                 if self._hash is None:
-                    object.__setattr__(self, "_hash", BoxHash(self))
+                    object.__setattr__(self, "_hash", BoxHash(bounds))
         return self._hash
 
     def bounds(self):
@@ -213,48 +213,60 @@ class BoxArray:
             with self._hash_lock:
                 if self._bounds is None:
                     arr = np.array(
-                        [(b.lo.coords, b.hi.coords) for b in self.boxes], dtype=np.int64
+                        [(b.lo, b.hi) for b in self.boxes], dtype=np.int64
                     ).reshape(len(self.boxes), 2, self.dim)
                     arr.flags.writeable = False
                     object.__setattr__(self, "_bounds", arr)
         return self._bounds
 
     def intersections(self, q):
-        """All (box_index, overlap) pairs where a member meets q; hash-backed."""
-        if q.ixtype != self.ixtype:
-            raise ValueError("index type mismatch")
-        if q.is_empty() or not self.boxes:
-            return []
-        out = []
-        for i in self._get_hash().candidates(q):
-            overlap = self.boxes[i].intersect(q)
-            if not overlap.is_empty():
-                out.append((i, overlap))
-        return out
+        """Where members meet q; hash-backed.
+
+        For a Box q: the list of (box_index, overlap) pairs.  For an
+        (M, 2, D) int array of query lo/hi corners: arrays (query, box, lo,
+        hi), one row per overlapping pair, sorted by query then box, with
+        the overlap's corners in lo and hi.
+        """
+        if isinstance(q, Box):
+            if q.ixtype != self.ixtype:
+                raise ValueError("index type mismatch")
+            if q.is_empty() or not self.boxes:
+                return []
+            out = []
+            for i in self._get_hash().candidates(q):
+                overlap = self.boxes[i].intersect(q)
+                if not overlap.is_empty():
+                    out.append((i, overlap))
+            return out
+        # (D, M) corners: per-dimension rows keep every step a 1-D numpy op
+        q = np.asarray(q, dtype=np.int64).reshape(-1, 2, self.dim)
+        lo, hi = np.ascontiguousarray(q.transpose(1, 2, 0))
+        if not self.boxes or not q.shape[0]:
+            none = np.zeros(0, dtype=np.int64)
+            return none, none, q[:0, 0], q[:0, 1]
+        query, box = self._get_hash().meeting(lo, hi)
+        b = self.bounds()
+        olo = [np.maximum(lo[d][query], b[box, 0, d]) for d in range(self.dim)]
+        ohi = [np.minimum(hi[d][query], b[box, 1, d]) for d in range(self.dim)]
+        return query, box, np.stack(olo, axis=1), np.stack(ohi, axis=1)
 
     def owners_at(self, cells):
         """Index of the box containing each row of an (n, D) int array, or -1.
 
-        Each point examines exactly one hash bin.  Where boxes share faces
-        (nodal layouts), the lowest containing index wins.
+        The point form of the batch query: each point examines exactly one
+        hash bin.  Where boxes share faces (nodal layouts), the lowest
+        containing index wins.
         """
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, self.dim)
         out = np.full(cells.shape[0], -1, dtype=np.int64)
-        if not self.boxes or cells.shape[0] == 0:
+        if not self.boxes or not cells.shape[0]:
             return out
-        rows, cands = self._get_hash().point_candidates(cells)
-        b = self.bounds()
-        inside = np.ones(rows.shape[0], dtype=bool)
-        for d in range(self.dim):
-            p = cells[rows, d]
-            inside &= (p >= b[cands, 0, d]) & (p <= b[cands, 1, d])
-        rows = rows[inside]
-        cands = cands[inside]
-        # rows ascend and candidates within a row ascend, so the first
-        # containing candidate of each row is its lowest index
-        first = np.ones(rows.shape[0], dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        out[rows[first]] = cands[first]
+        cells = np.ascontiguousarray(cells.T)
+        query, box = self._get_hash().meeting(cells, cells)
+        # hits come sorted by query then box: a query's first is its lowest
+        first = np.ones(query.shape[0], dtype=bool)
+        first[1:] = query[1:] != query[:-1]
+        out[query[first]] = box[first]
         return out
 
     def owner_at(self, p):
@@ -287,102 +299,121 @@ class BoxArray:
         return remaining
 
 
-class _BuiltHash:
-    """Shared binning core: boxes indexed by every bin their image touches."""
-
-    __slots__ = ("bin_size", "origin", "bins", "dim")
-
-    def __init__(self, boxes):
-        self.dim = boxes[0].dim
-        ext = boxes[0].extents()
-        lo = boxes[0].lo
-        for b in boxes[1:]:
-            ext = ext.max(b.extents())
-            lo = lo.min(b.lo)
-        self.bin_size = ext.max(IntVect.unit(self.dim))
-        self.origin = lo
-        self.bins = {}
-        for i, b in enumerate(boxes):
-            for key in self._keys_for(b):
-                self.bins.setdefault(key, []).append(i)
-
-    def _key_at(self, p):
-        return tuple((p[d] - self.origin[d]) // self.bin_size[d] for d in range(self.dim))
-
-    def _keys_for(self, q):
-        klo = self._key_at(q.lo)
-        khi = self._key_at(q.hi)
-        ranges = [range(klo[d], khi[d] + 1) for d in range(self.dim)]
-        return itertools.product(*ranges)
-
-    def candidates(self, q, count=True):
-        seen = set()
-        out = []
-        nbins = 0
-        for key in self._keys_for(q):
-            nbins += 1
-            for i in self.bins.get(key, ()):
-                if i not in seen:
-                    seen.add(i)
-                    out.append(i)
-        if count:
-            counters.incr("hash_bins_examined", nbins)
-            counters.incr("hash_queries")
-        return out
+def _bins_of(klo, khi, shape):
+    """(item, key) for every lattice bin in the klo..khi range of each item
+    (a column of the (D, M) corner arrays): items ascending, row-major keys
+    ascending within an item.  Bins off the lattice are skipped."""
+    lo = np.maximum(klo, 0)
+    nb = np.maximum(np.minimum(khi, shape[:, None] - 1) - lo + 1, 0)
+    count = nb.prod(axis=0)
+    key = np.zeros(count.shape[0], dtype=np.int64)  # each item's lowest bin
+    for d in range(lo.shape[0]):
+        key = key * int(shape[d]) + lo[d]
+    item = np.repeat(np.arange(count.shape[0]), count)
+    rank = np.arange(item.shape[0]) - np.repeat(np.cumsum(count) - count, count)
+    key = key[item]
+    stride = 1
+    for d in range(lo.shape[0] - 1, -1, -1):
+        n = nb[d][item]
+        key += rank % n * stride
+        rank //= n
+        stride *= int(shape[d])
+    return item, key
 
 
-class BoxHash(_BuiltHash):
+class BoxHash:
     """Spatial hash over a BoxArray, binned at the maximum box extent.
 
-    Built lazily on first query and cached on the BoxArray.  Each box is
-    registered in every bin its image touches (at most 2 per dimension,
-    since bins are at least as large as any box), so a query region of up
-    to twice the bin size examines at most 3 bins per dimension.
+    Built once in numpy from the layout's bounds() and cached on the
+    BoxArray.  Each box is registered in every bin its image touches (at
+    most 2 per dimension, since bins are at least as large as any box), so a
+    query region of up to twice the bin size examines at most 3 bins per
+    dimension.  Occupied bins are kept as sorted row-major keys over the bin
+    lattice, with their members in CSR order, ascending box index per bin.
+    Scalar queries walk a key -> members table derived from the same CSR.
     """
 
-    __slots__ = ("_origin", "_size", "_shape", "_keys", "_starts", "_members")
+    __slots__ = ("bounds", "origin", "size", "shape", "keys", "starts", "members", "_table")
 
-    def __init__(self, ba):
-        if not ba.boxes:
+    def __init__(self, bounds):
+        if not bounds.shape[0]:
             raise ValueError("cannot hash an empty BoxArray")
-        super().__init__(ba.boxes)
-        # flat form for batch point queries: occupied bins as sorted
-        # row-major keys over the bin lattice, members in CSR order
-        self._origin = np.array(self.origin.coords, dtype=np.int64)
-        self._size = np.array(self.bin_size.coords, dtype=np.int64)
-        keys = sorted(self.bins)
-        lattice = np.array(keys, dtype=np.int64)
-        self._shape = lattice.max(axis=0) + 1
-        self._keys = np.ravel_multi_index(lattice.T, self._shape)
-        lengths = [len(self.bins[k]) for k in keys]
-        self._starts = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        self._members = np.array(
-            [i for k in keys for i in self.bins[k]], dtype=np.int64
-        )
+        self.bounds = bounds
+        self.origin = bounds[:, 0].min(axis=0)
+        self.size = (bounds[:, 1] - bounds[:, 0]).max(axis=0) + 1
+        klo = (bounds[:, 0] - self.origin) // self.size
+        khi = (bounds[:, 1] - self.origin) // self.size
+        self.shape = khi.max(axis=0) + 1
+        box, key = _bins_of(klo.T, khi.T, self.shape)
+        order = np.argsort(key, kind="stable")  # box order kept within a bin
+        self.members = box[order]
+        key = key[order]
+        first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
+        self.keys = key[first]
+        self.starts = np.append(first, key.shape[0])
+        self._table = None
 
-    def point_candidates(self, cells):
-        """(row, box) pairs: every box registered in the bin of each cell
-        row, rows ascending, boxes in index order within a row.  Counts one
-        query and one examined bin per row."""
-        n = cells.shape[0]
-        counters.incr("hash_bins_examined", n)
-        counters.incr("hash_queries", n)
-        lin = np.zeros(n, dtype=np.int64)
-        ok = np.ones(n, dtype=bool)
-        for d in range(self.dim):
-            k = (cells[:, d] - self._origin[d]) // self._size[d]
-            ok &= (k >= 0) & (k < self._shape[d])
-            lin = lin * self._shape[d] + k
-        rows = np.flatnonzero(ok)
-        lin = lin[rows]
-        slot = np.minimum(np.searchsorted(self._keys, lin), self._keys.shape[0] - 1)
-        hit = self._keys[slot] == lin
-        rows = rows[hit]
-        slot = slot[hit]
-        lo = self._starts[slot]
-        count = self._starts[slot + 1] - lo
-        pair_rows = np.repeat(rows, count)
-        # member offset: the row's first slot plus the rank within the row
-        first = np.cumsum(count) - count
-        offs = np.repeat(lo - first, count) + np.arange(pair_rows.shape[0])
-        return pair_rows, self._members[offs]
+    def _bin_table(self):
+        if self._table is None:
+            coords = np.unravel_index(self.keys, self.shape)
+            members = self.members.tolist()
+            starts = self.starts.tolist()
+            self._table = {
+                key: members[a:b]
+                for key, a, b in zip(zip(*(c.tolist() for c in coords)), starts, starts[1:])
+            }
+        return self._table
+
+    def candidates(self, q):
+        """Boxes registered in the bins q touches, each once, in bin walk
+        order (row-major over the bins, ascending index within a bin)."""
+        ranges = [
+            range((lo - o) // s, (hi - o) // s + 1)
+            for lo, hi, o, s in zip(q.lo, q.hi, self.origin.tolist(), self.size.tolist())
+        ]
+        table = self._bin_table()
+        out = []
+        nbins = 0
+        for key in itertools.product(*ranges):
+            nbins += 1
+            out.extend(table.get(key, ()))
+        counters.incr("hash_bins_examined", nbins)
+        counters.incr("hash_queries")
+        return list(dict.fromkeys(out))
+
+    def meeting(self, lo, hi, count=True):
+        """(query, box) for every box meeting a query box, given as (D, M)
+        arrays of lo and hi corners; sorted by query then box.  When
+        counted, each non-empty query counts once in hash_queries and by
+        its bin span in hash_bins_examined."""
+        klo = np.empty_like(lo)
+        khi = np.empty_like(hi)
+        for d, (o, s) in enumerate(zip(self.origin.tolist(), self.size.tolist())):
+            klo[d] = (lo[d] - o) // s
+            khi[d] = (hi[d] - o) // s
+        empty = (hi < lo).any(axis=0)
+        khi[:, empty] = klo[:, empty] - 1
+        if count:
+            span = np.maximum(khi - klo + 1, 0).prod(axis=0)
+            counters.incr("hash_bins_examined", int(span.sum()))
+            counters.incr("hash_queries", int(lo.shape[1] - empty.sum()))
+        query, key = _bins_of(klo, khi, self.shape)
+        slot = np.minimum(np.searchsorted(self.keys, key), self.keys.shape[0] - 1)
+        hit = self.keys[slot] == key
+        query = query[hit]
+        first = self.starts[slot[hit]]
+        n = self.starts[slot[hit] + 1] - first
+        query = np.repeat(query, n)
+        # member offset: the bin's first slot plus the rank within the bin
+        offs = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(query.shape[0])
+        # one pair per (query, box), in (query, box) order
+        nboxes = self.bounds.shape[0]
+        code = np.sort(query * nboxes + self.members[offs])
+        new = np.ones(code.shape[0], dtype=bool)
+        new[1:] = code[1:] != code[:-1]
+        query, box = np.divmod(code[new], nboxes)
+        meets = np.ones(query.shape[0], dtype=bool)
+        for d in range(lo.shape[0]):
+            meets &= (lo[d][query] <= self.bounds[box, 1, d])
+            meets &= (hi[d][query] >= self.bounds[box, 0, d])
+        return query[meets], box[meets]

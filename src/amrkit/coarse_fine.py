@@ -27,15 +27,7 @@ from .fabarray import (
     _plan_key,
     parallel_copy,
 )
-from .index_space import Box, IndexType, IntVect, box_diff
-
-
-def _as_ratio(ratio, dim):
-    if isinstance(ratio, int):
-        return IntVect((ratio,) * dim)
-    if not isinstance(ratio, IntVect):
-        return IntVect(ratio)
-    return ratio
+from .index_space import Box, IndexType, IntVect, as_intvect, box_diff
 
 
 _layout_memo = {}
@@ -139,7 +131,7 @@ def average_down(fine, crse, ratio, transport, mode="average"):
     The fine layout must be coarsenable by the ratio so per-box restriction
     lands on whole coarse cells.
     """
-    ratio = _as_ratio(ratio, fine.dim)
+    ratio = as_intvect(ratio, fine.dim)
     if not fine.ba.coarsenable(ratio):
         raise ValueError("fine BoxArray is not coarsenable by the given ratio")
     if mode not in ("average", "injection"):
@@ -169,7 +161,7 @@ def interp_to_fine(fine, crse, ratio, transport, method="pc"):
     transport, then interpolated box-locally (piecewise constant needs no
     margin, so nesting alone guarantees coverage).
     """
-    ratio = _as_ratio(ratio, fine.dim)
+    ratio = as_intvect(ratio, fine.dim)
     if not fine.ba.coarsenable(ratio):
         raise ValueError("fine BoxArray is not coarsenable by the given ratio")
     margin = 1 if method == "linear" else 0
@@ -214,7 +206,7 @@ def fill_patch(
     if not 0.0 <= time_weight <= 1.0:
         raise ValueError("time_weight must lie in [0, 1]")
     dim = dst.dim
-    ratio = _as_ratio(ratio, dim)
+    ratio = as_intvect(ratio, dim)
     # the interpolation pass below overwrites dst wholesale, so the fine
     # data must be staged out of it first
     fine_src = snapshot_valid(dst)
@@ -286,7 +278,7 @@ class FluxRegister:
     """
 
     def __init__(self, fine_ba, fine_dm, ratio, ncomp=1):
-        self.ratio = _as_ratio(ratio, fine_ba.dim)
+        self.ratio = as_intvect(ratio, fine_ba.dim)
         self.ncomp = int(ncomp)
         if not fine_ba.coarsenable(self.ratio):
             raise ValueError("fine BoxArray is not coarsenable by the given ratio")

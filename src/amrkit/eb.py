@@ -30,7 +30,7 @@ import numpy as np
 
 from .distribution import DistributionMapping
 from .fabarray import FabArray, gather_global
-from .index_space import IndexType, IntVect
+from .index_space import IndexType, as_intvect
 
 REGULAR = 0
 CUT = 1
@@ -623,10 +623,7 @@ class LevelSet:
 
 
 def build_level_set(f, geom, ba, refine_ratio=1, dm=None):
-    if isinstance(refine_ratio, int):
-        refine_ratio = IntVect((refine_ratio,) * geom.dim)
-    elif not isinstance(refine_ratio, IntVect):
-        refine_ratio = IntVect(refine_ratio)
+    refine_ratio = as_intvect(refine_ratio, geom.dim)
     if any(r < 1 for r in refine_ratio):
         raise ValueError("refine_ratio must be >= 1")
     geom_f = geom.refine(refine_ratio)

@@ -40,7 +40,7 @@ class Fab:
         self.box = box
         self.ngrow = int(ngrow)
         self.ncomp = int(ncomp)
-        self.gbox = box.grow(self.ngrow)
+        self.gbox = box.grow(self.ngrow) if self.ngrow else box
         self.data = np.zeros((self.ncomp,) + tuple(self.gbox.extents()), dtype=dtype)
 
     def slice(self, region, comp=None):
@@ -51,12 +51,13 @@ class Fab:
             slice(region.lo[d] - self.gbox.lo[d], region.hi[d] - self.gbox.lo[d] + 1)
             for d in range(self.box.dim)
         )
-        if comp is None:
-            return self.data[(slice(None),) + idx]
-        return self.data[(comp,) + idx]
+        return self.data[(slice(None) if comp is None else comp,) + idx]
 
     def valid(self, comp=None):
-        return self.slice(self.box, comp)
+        """Numpy view of the valid region (the box without its ghosts)."""
+        n = self.ngrow
+        idx = tuple(slice(n, e - n) for e in self.data.shape[1:])
+        return self.data[(slice(None) if comp is None else comp,) + idx]
 
     def setval(self, value, comp=None, ghosts=True):
         if ghosts:
@@ -65,7 +66,7 @@ class Fab:
             else:
                 self.data[comp, ...] = value
         else:
-            self.slice(self.box, comp)[...] = value
+            self.valid(comp)[...] = value
 
 
 class FabArray:

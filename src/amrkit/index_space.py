@@ -31,6 +31,12 @@ def _as_coords(v, dim=None):
     return c
 
 
+def as_intvect(v, dim):
+    """v as a dim-dimensional IntVect: an int is repeated, a sequence converted."""
+    c = _as_coords(v, dim)
+    return c if isinstance(c, IntVect) else _new(IntVect, c)
+
+
 class IntVect(tuple):
     """A dimension-sized tuple of signed integers locating a point in index space.
 

@@ -30,7 +30,7 @@ from .fabarray import (
     sum_boundary,
     _periodic_shifts,
 )
-from .index_space import Box, IntVect
+from .index_space import Box, IntVect, as_intvect
 from .transport import Transport, TransportError
 
 
@@ -207,12 +207,7 @@ class ParticleContainer:
         if any(dm.nranks != self.nranks for dm in self.dms):
             raise ValueError("all levels must share one rank count")
         dim = self.geoms[0].dim
-        if tile_size is None:
-            tile_size = IntVect((1 << 30,) * dim)
-        elif isinstance(tile_size, int):
-            tile_size = IntVect((tile_size,) * dim)
-        elif not isinstance(tile_size, IntVect):
-            tile_size = IntVect(tile_size)
+        tile_size = as_intvect(1 << 30 if tile_size is None else tile_size, dim)
         if any(t < 1 for t in tile_size):
             raise ValueError("tile size must be >= 1 per dimension")
         self.tile_size = tile_size
@@ -263,7 +258,8 @@ class ParticleContainer:
         return out
 
     def tile_layout(self, level):
-        """BoxArray of every tile region on a level plus its key mapping."""
+        """BoxArray of every tile region on a level, and its (grid, tile)
+        keys as an (ntiles, 2) array."""
         ba = self.bas[level]
         token = (level, ba.uid, self.tile_size.coords)
         hit = self._tile_layouts.get(token)
@@ -276,7 +272,7 @@ class ParticleContainer:
             for tid in range(ntiles):
                 boxes.append(tile_box_of(ba[g], self.tile_size, tid))
                 keys.append((g, tid))
-        layout = (BoxArray(boxes, validate=False), keys)
+        layout = (BoxArray(boxes, validate=False), np.array(keys, dtype=np.int64))
         self._tile_layouts[token] = layout
         return layout
 
@@ -555,16 +551,14 @@ def redistribute(pc, transport=None, mode="global", k=None, subcycle=None):
 
 
 class _HaloTile:
+    """One holder tile's copies: views into the halo's columns."""
+
     __slots__ = ("pos", "ids", "rdata", "src_grid", "src_tile", "src_slot", "shift")
 
-    def __init__(self, dim, nreal):
-        self.pos = np.zeros((0, dim))
-        self.ids = np.zeros(0, dtype=np.int64)
-        self.rdata = np.zeros((nreal, 0))
-        self.src_grid = np.zeros(0, dtype=np.int64)
-        self.src_tile = np.zeros(0, dtype=np.int64)
-        self.src_slot = np.zeros(0, dtype=np.int64)
-        self.shift = np.zeros((0, dim), dtype=np.int64)
+    def __init__(self, halo, a, b):
+        for name in ("pos", "ids", "src_grid", "src_tile", "src_slot", "shift"):
+            setattr(self, name, getattr(halo, name)[a:b])
+        self.rdata = halo.rdata[:, a:b]
 
     @property
     def size(self):
@@ -572,23 +566,37 @@ class _HaloTile:
 
 
 class NeighborHalo:
-    """Per-(level, grid, tile) copies of nearby foreign particles.
+    """Copies of nearby foreign particles, kept as flat columns.
 
-    Each copy carries provenance (owner grid, tile, slot, and the periodic
-    cell shift applied), enough to refresh payloads or push sums back.  The
-    epoch ties the membership to one redistribute generation.
+    Rows are in one canonical order: holder (level, grid, tile), then owner
+    grid, tile and slot, then the periodic cell shift applied, so the halo
+    never depends on which rank supplied which copy.  The provenance is
+    enough to refresh payloads or push sums back; ``tiles[key]`` views one
+    holder tile's rows.  The epoch ties the membership to one redistribute
+    generation.
     """
 
-    __slots__ = ("nghost", "epoch", "tiles")
+    __slots__ = (
+        "nghost", "epoch", "tiles", "level", "grid", "tile",
+        "src_grid", "src_tile", "src_slot", "ids", "shift", "pos", "rdata",
+    )
 
-    def __init__(self, nghost, epoch):
+    def __init__(self, nghost, epoch, ints, shift, pos, rdata):
         self.nghost = int(nghost)
         self.epoch = epoch
+        (self.level, self.grid, self.tile,
+         self.src_grid, self.src_tile, self.src_slot, self.ids) = ints.T
+        self.shift = shift
+        self.pos = pos
+        self.rdata = rdata
         self.tiles = {}
+        for a, b in zip(*_runs(self.level, self.grid, self.tile)):
+            key = (int(self.level[a]), int(self.grid[a]), int(self.tile[a]))
+            self.tiles[key] = _HaloTile(self, a, b)
 
     @property
     def total(self):
-        return sum(t.size for t in self.tiles.values())
+        return self.ids.shape[0]
 
 
 def _require_fresh(pc, halo):
@@ -596,101 +604,109 @@ def _require_fresh(pc, halo):
         raise ParticleError("halo is stale; rebuild with fill_neighbors")
 
 
+def _stored(pc):
+    """Every stored particle, tiles back to back in sorted key order:
+    (level, grid, tile, slot, id) columns, positions, extras with particles
+    on axis 0, and each tile key's first row."""
+    keys = pc.sorted_keys()
+    tiles = [pc.tiles[k] for k in keys]
+    sizes = [t.size for t in tiles]
+    first = np.cumsum([0] + sizes)
+    aos = np.concatenate([np.zeros(0, _aos_dtype(pc.dim))] + [t.aos for t in tiles])
+    cols = np.column_stack(
+        _stored_keys(keys, sizes)
+        + (np.arange(first[-1]) - np.repeat(first[:-1], sizes), aos["id"])
+    )
+    rdata = np.concatenate([np.zeros((pc.nreal, 0))] + [t.rdata for t in tiles], axis=1)
+    return cols, aos["pos"], rdata.T, dict(zip(keys, first.tolist()))
+
+
+def _ranks(pc, levels, grids):
+    """Owner rank of (level, grid) per row."""
+    out = np.empty(grids.shape[0], dtype=np.int64)
+    for lev in range(pc.nlevels):
+        sel = levels == lev
+        out[sel] = np.asarray(pc.dms[lev].owner, dtype=np.int64)[grids[sel]]
+    return out
+
+
+def _route(transport, src, dst, cols, tag):
+    """Deliver the rows of cols (arrays sharing axis 0) from rank src[i] to
+    rank dst[i]: one message per rank pair with any remote row.  Returns the
+    columns of the local rows followed by the arrived ones."""
+    local = src == dst
+    outbox = {}
+    for sr, dr in sorted(set(zip(src[~local].tolist(), dst[~local].tolist()))):
+        sel = (src == sr) & (dst == dr)
+        outbox[(sr, dr)] = _Packed([tuple(c[sel] for c in cols)])
+    blocks = [tuple(c[local] for c in cols)] + _exchange(transport, outbox, tag)
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
 def fill_neighbors(pc, nghost, transport=None):
     """Build the halo: copies of every particle within nghost cells of a
-    foreign tile's region, periodic images included."""
+    foreign tile's region, periodic images included.
+
+    A particle reaches tile T under a periodic shift iff its shifted cell
+    lies in T's region grown by nghost, so each (level, shift) is one batch
+    intersections query of the particles' grown shifted cells against the
+    level's tile layout; particles shifted out of the layout's reach are
+    not queried.  Copies travel as columns, one message per rank pair.
+    """
     if transport is None:
         transport = Transport(pc.nranks)
     nghost = int(nghost)
-    halo = NeighborHalo(nghost, pc.epoch)
-    outbox = {}
-    arrivals = []
-    for key in pc.sorted_keys():
-        lev, g, t = key
-        tile = pc.tiles[key]
-        if tile.size == 0:
+    dim = pc.dim
+    own, own_pos, own_r, _ = _stored(pc)
+    # per copy: level, holder grid and tile, then owner grid, tile, slot, id
+    ints = [np.zeros((0, 7), dtype=np.int64)]
+    shifts = [np.zeros((0, dim), dtype=np.int64)]
+    pos = [np.zeros((0, dim))]
+    rdata = [own_r[:0]]
+    for lev in range(pc.nlevels):
+        on = np.flatnonzero(own[:, 0] == lev)
+        if not on.shape[0]:
             continue
         geom = pc.geoms[lev]
         dx = np.asarray(geom.cell_size)
-        layout_ba, layout_keys = pc.tile_layout(lev)
-        cells = _cells_at(geom, tile.aos["pos"])
-        shifts = _periodic_shifts(geom.domain, geom.periodic, geom.dim)
-        src_rank = pc.dms[lev][g]
-        zero = IntVect.zero(pc.dim)
-        # one bounding-box hash query per (tile, shift), then a vectorized
-        # membership test; a particle reaches tile T iff its shifted cell
-        # lies in T's region grown by nghost
-        for s in shifts:
-            sc = np.asarray(s.coords, dtype=np.int64)
+        cells = _cells_at(geom, own_pos[on])
+        layout_ba, holders = pc.tile_layout(lev)
+        b = layout_ba.bounds()
+        reach_lo = b[:, 0].min(axis=0) - nghost
+        reach_hi = b[:, 1].max(axis=0) + nghost
+        for s in _periodic_shifts(geom.domain, geom.periodic, dim):
+            sc = np.asarray(s, dtype=np.int64)
             shifted = cells + sc
-            probe = Box(
-                IntVect(int(shifted[:, d].min()) - nghost for d in range(pc.dim)),
-                IntVect(int(shifted[:, d].max()) + nghost for d in range(pc.dim)),
+            near = np.flatnonzero(
+                ((shifted >= reach_lo) & (shifted <= reach_hi)).all(axis=1)
             )
-            for bidx, _ in layout_ba.intersections(probe):
-                g2, t2 = layout_keys[bidx]
-                if s == zero and (g2, t2) == (g, t):
-                    continue
-                tb = layout_ba[bidx].grow(nghost)
-                inside = np.ones(tile.size, dtype=bool)
-                for d in range(pc.dim):
-                    inside &= (shifted[:, d] >= tb.lo[d]) & (shifted[:, d] <= tb.hi[d])
-                if not inside.any():
-                    continue
-                pos_img = tile.aos["pos"] + sc * dx
-                dkey = (lev, g2, t2)
-                dst_rank = pc.dms[lev][g2]
-                sink = (
-                    arrivals
-                    if dst_rank == src_rank
-                    else outbox.setdefault((src_rank, dst_rank), _Packed())
-                )
-                for i in np.nonzero(inside)[0]:
-                    sink.append(
-                        (
-                            dkey,
-                            pos_img[i],
-                            int(tile.aos["id"][i]),
-                            tile.rdata[:, i].copy(),
-                            g,
-                            t,
-                            int(i),
-                            sc,
-                        )
-                    )
-    arrivals.extend(_exchange(transport, outbox, "fill_neighbors"))
-
-    grouped = {}
-    for entry in arrivals:
-        grouped.setdefault(entry[0], []).append(entry)
-    for dkey in sorted(grouped):
-        rows = grouped[dkey]
-        ht = _HaloTile(pc.dim, pc.nreal)
-        ht.pos = np.array([r[1] for r in rows])
-        ht.ids = np.array([r[2] for r in rows], dtype=np.int64)
-        ht.rdata = (
-            np.stack([r[3] for r in rows], axis=1)
-            if pc.nreal
-            else np.zeros((0, len(rows)))
-        )
-        ht.src_grid = np.array([r[4] for r in rows], dtype=np.int64)
-        ht.src_tile = np.array([r[5] for r in rows], dtype=np.int64)
-        ht.src_slot = np.array([r[6] for r in rows], dtype=np.int64)
-        ht.shift = np.stack([r[7] for r in rows])
-        # canonical order: owner identity then image shift, so halo contents
-        # never depend on which rank supplied which copy
-        order = np.lexsort(
-            tuple(ht.shift[:, d] for d in range(pc.dim - 1, -1, -1))
-            + (ht.src_slot, ht.src_tile, ht.src_grid)
-        )
-        ht.pos = ht.pos[order]
-        ht.ids = ht.ids[order]
-        ht.rdata = ht.rdata[:, order]
-        ht.src_grid = ht.src_grid[order]
-        ht.src_tile = ht.src_tile[order]
-        ht.src_slot = ht.src_slot[order]
-        ht.shift = ht.shift[order]
-        halo.tiles[dkey] = ht
+            q, box, _, _ = layout_ba.intersections(
+                np.stack([shifted[near] - nghost, shifted[near] + nghost], axis=1)
+            )
+            row, held = on[near[q]], holders[box]
+            if not any(s):
+                foreign = (held != own[row, 1:3]).any(axis=1)
+                row, held = row[foreign], held[foreign]
+            ints.append(np.column_stack([own[row, 0], held, own[row, 1:]]))
+            shifts.append(np.broadcast_to(sc, (row.shape[0], dim)))
+            pos.append(own_pos[row] + sc * dx)
+            rdata.append(own_r[row])
+    ints = np.concatenate(ints)
+    ints, shift, pos, rdata = _route(
+        transport,
+        _ranks(pc, ints[:, 0], ints[:, 3]),
+        _ranks(pc, ints[:, 0], ints[:, 1]),
+        (ints, np.concatenate(shifts), np.concatenate(pos), np.concatenate(rdata)),
+        "fill_neighbors",
+    )
+    # canonical order: holder, then owner identity, then image shift
+    order = np.lexsort(
+        tuple(shift[:, d] for d in range(dim - 1, -1, -1))
+        + tuple(ints[:, c] for c in range(5, -1, -1))
+    )
+    halo = NeighborHalo(
+        nghost, pc.epoch, ints[order], shift[order], pos[order], rdata[order].T
+    )
     counters.incr("halo_copies", halo.total)
     return halo
 
@@ -701,37 +717,22 @@ def update_neighbors(pc, halo, transport=None):
     _require_fresh(pc, halo)
     if transport is None:
         transport = Transport(pc.nranks)
-    outbox = {}
-    for dkey in sorted(halo.tiles):
-        lev = dkey[0]
-        ht = halo.tiles[dkey]
-        if ht.size == 0:
-            continue
-        dx = np.asarray(pc.geoms[lev].cell_size)
-        holder = pc.dms[lev][dkey[1]]
-        owner_ranks = np.array([pc.dms[lev][g] for g in ht.src_grid])
-        fresh_pos = np.empty_like(ht.pos)
-        fresh_r = np.empty_like(ht.rdata)
-        for g2, t2 in sorted(set(zip(ht.src_grid.tolist(), ht.src_tile.tolist()))):
-            sel = (ht.src_grid == g2) & (ht.src_tile == t2)
-            src = pc.tiles[(lev, g2, t2)]
-            slots = ht.src_slot[sel]
-            fresh_pos[sel] = src.aos["pos"][slots] + ht.shift[sel] * dx
-            fresh_r[:, sel] = src.rdata[:, slots]
-        local = owner_ranks == holder
-        ht.pos[local] = fresh_pos[local]
-        ht.rdata[:, local] = fresh_r[:, local]
-        for orank in sorted(set(owner_ranks.tolist())):
-            if orank == holder:
-                continue
-            sel = np.nonzero(owner_ranks == orank)[0]
-            outbox.setdefault((orank, holder), _Packed()).append(
-                (dkey, sel, fresh_pos[sel], fresh_r[:, sel])
-            )
-    for dkey, sel, pos_new, r_new in _exchange(transport, outbox, "update_neighbors"):
-        ht = halo.tiles[dkey]
-        ht.pos[sel] = pos_new
-        ht.rdata[:, sel] = r_new
+    _, own_pos, own_r, first = _stored(pc)
+    # each copy's owner row: its owner tile's first row plus its slot
+    owner = np.column_stack([halo.level, halo.src_grid, halo.src_tile])
+    uniq, inv = np.unique(owner, axis=0, return_inverse=True)
+    base = np.array([first[tuple(k)] for k in uniq.tolist()], dtype=np.int64)
+    row = base[inv.reshape(-1)] + halo.src_slot
+    dx = np.array([g.cell_size for g in pc.geoms])[halo.level]
+    idx, fresh_pos, fresh_r = _route(
+        transport,
+        _ranks(pc, halo.level, halo.src_grid),
+        _ranks(pc, halo.level, halo.grid),
+        (np.arange(halo.total), own_pos[row] + halo.shift * dx, own_r[row]),
+        "update_neighbors",
+    )
+    halo.pos[idx] = fresh_pos
+    halo.rdata[:, idx] = fresh_r.T
 
 
 def sum_neighbors(pc, halo, comp, transport=None):
@@ -744,44 +745,21 @@ def sum_neighbors(pc, halo, comp, transport=None):
     if transport is None:
         transport = Transport(pc.nranks)
     comp = int(comp)
-    cols = []
-    outbox = {}
-    for hidx, dkey in enumerate(sorted(halo.tiles)):
-        lev = dkey[0]
-        ht = halo.tiles[dkey]
-        if ht.size == 0:
-            continue
-        holder = pc.dms[lev][dkey[1]]
-        owner_ranks = np.array([pc.dms[lev][g] for g in ht.src_grid])
-        block = np.column_stack(
-            [
-                np.full(ht.size, lev, dtype=np.int64),
-                ht.src_grid,
-                ht.src_tile,
-                ht.src_slot,
-                np.full(ht.size, hidx, dtype=np.int64),
-                np.arange(ht.size, dtype=np.int64),
-            ]
-        )
-        vals = ht.rdata[comp]
-        local = owner_ranks == holder
-        if local.any():
-            cols.append((block[local], vals[local]))
-        for orank in sorted(set(owner_ranks.tolist())):
-            if orank == holder:
-                continue
-            sel = owner_ranks == orank
-            outbox.setdefault((holder, orank), _Packed()).append(
-                (block[sel], vals[sel])
-            )
-    cols.extend(_exchange(transport, outbox, "sum_neighbors"))
-    if not cols:
-        return
-    keys = np.concatenate([c[0] for c in cols])
-    vals = np.concatenate([c[1] for c in cols])
-    order = np.lexsort(
-        (keys[:, 5], keys[:, 4], keys[:, 3], keys[:, 2], keys[:, 1], keys[:, 0])
+    sizes = [ht.size for ht in halo.tiles.values()]
+    hidx = np.repeat(np.arange(len(sizes)), sizes)
+    # owner level, grid, tile and slot, then holder index and row
+    keys = np.column_stack(
+        [halo.level, halo.src_grid, halo.src_tile, halo.src_slot, hidx,
+         np.arange(halo.total) - np.cumsum([0] + sizes)[hidx]]
     )
+    keys, vals = _route(
+        transport,
+        _ranks(pc, halo.level, halo.grid),
+        _ranks(pc, halo.level, halo.src_grid),
+        (keys, halo.rdata[comp]),
+        "sum_neighbors",
+    )
+    order = np.lexsort(tuple(keys[:, c] for c in range(5, -1, -1)))
     keys = keys[order]
     vals = vals[order]
     for i, j in zip(*_runs(keys[:, 0], keys[:, 1], keys[:, 2])):

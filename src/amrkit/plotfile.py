@@ -207,13 +207,15 @@ def _header_text(header, meshes):
 def _write_level_records(
     fname, mesh_arrays, owners, offsets, sizes, total, nwriters, nranks
 ):
-    """Rank-by-rank positioned writes in waves of at most nwriters."""
+    """Rank-by-rank positioned writes in waves of at most nwriters; a
+    writer thread's exception is re-raised once its wave has joined."""
     fd = os.open(fname, os.O_CREAT | os.O_WRONLY | os.O_TRUNC)
     try:
         if total:
             os.pwrite(fd, b"\0", total - 1)  # size the file up front
         active = [0]
         gauge = threading.Lock()
+        errors = {}
 
         def write_rank(rank, barrier):
             with gauge:
@@ -232,6 +234,8 @@ def _write_level_records(
                         raise IOError(f"record {i} size mismatch in {fname}")
                     os.pwrite(fd, data, offsets[i])
                     counters.incr("io_bytes_written", len(data))
+            except Exception as exc:  # re-raised by the joining thread
+                errors[rank] = exc
             finally:
                 with gauge:
                     active[0] -= 1
@@ -248,6 +252,8 @@ def _write_level_records(
                 t.start()
             for t in threads:
                 t.join()
+            if errors:
+                raise errors[min(errors)]
     finally:
         os.close(fd)
 

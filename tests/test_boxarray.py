@@ -36,6 +36,49 @@ def test_hash_matches_brute_force(rng):
             assert got == want
 
 
+def test_validate_names_lowest_overlapping_pair():
+    # box 0 overlaps boxes 2 and 3; box 3 sits in the first hash bin
+    boxes = [
+        Box(IntVect(0, 0), IntVect(7, 7)),
+        Box(IntVect(20, 20), IntVect(23, 23)),
+        Box(IntVect(6, 6), IntVect(9, 9)),
+        Box(IntVect(-2, -2), IntVect(1, 1)),
+    ]
+    with pytest.raises(ValueError, match="boxes 0 and 2 overlap"):
+        BoxArray(boxes)
+
+
+def test_batch_intersections_match_brute_force(rng):
+    for trial in range(45):
+        dim = trial % 3 + 1
+        n = int(rng.integers(6, 24))
+        lo = [int(rng.integers(-8, 8)) for _ in range(dim)]
+        domain = Box(IntVect(lo), IntVect([l + n - 1 for l in lo]))
+        ba = random_cover(rng, domain, nsplits=int(rng.integers(1, 10)))
+        # many queries miss the layout or lie wholly outside the bin lattice
+        queries = [random_box(rng, dim, span=n + 12, max_ext=12) for _ in range(40)]
+        corners = [[list(q.lo), list(q.hi)] for q in queries]
+        corners.append([[0] * dim, [-1] * dim])  # an empty query
+        counters.reset("hash_bins_examined", "hash_queries")
+        query, box, olo, ohi = ba.intersections(np.array(corners))
+        batch = (counters.get("hash_bins_examined"), counters.get("hash_queries"))
+        got = list(zip(query.tolist(), box.tolist(), olo.tolist(), ohi.tolist()))
+        want = [
+            (m, i, list(ov.lo), list(ov.hi))
+            for m, q in enumerate(queries)
+            for i, ov in brute_intersections(list(ba), q)
+        ]
+        assert got == want
+        assert olo.shape == ohi.shape == (len(want), dim)
+        # a batch counts what its scalar queries count
+        counters.reset("hash_bins_examined", "hash_queries")
+        for q in queries:
+            ba.intersections(q)
+        assert batch == (counters.get("hash_bins_examined"), counters.get("hash_queries"))
+    empty = ba.intersections(np.zeros((0, 2, dim), dtype=np.int64))
+    assert [a.shape[0] for a in empty] == [0, 0, 0, 0]
+
+
 def test_query_bin_cost_bounded(rng):
     # a query no larger than the hash cell examines at most 3^D bins
     for trial in range(40):

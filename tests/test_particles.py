@@ -8,7 +8,7 @@ from amrkit import counters
 from amrkit.amr_core import Geometry
 from amrkit.boxarray import BoxArray
 from amrkit.distribution import default_costs, sfc_distribute
-from amrkit.fabarray import FabArray, gather_global
+from amrkit.fabarray import FabArray, _periodic_shifts, gather_global
 from amrkit.index_space import Box, IntVect
 from amrkit.particles import (
     ParticleContainer,
@@ -34,6 +34,8 @@ from amrkit.particles import (
     _aos_dtype,
     _cells_at,
     _default_local_k,
+    _exchange,
+    _runs,
     _wrap_positions,
 )
 from amrkit.transport import Transport, TransportError
@@ -337,7 +339,7 @@ class BruteForceRedistribute:
         counters.incr("particles_redistributed", moved)
 
 
-def _two_containers(rng, dim, nlevels, nranks, periodic, npart):
+def _two_containers(rng, dim, nlevels, nranks, periodic, npart, tile=None):
     n = 16 if dim < 3 else 8
     domain = Box(IntVect.zero(dim), IntVect([n - 1] * dim))
     geoms = [Geometry(domain, (0.0,) * dim, (1.0,) * dim, periodic)]
@@ -350,7 +352,8 @@ def _two_containers(rng, dim, nlevels, nranks, periodic, npart):
         geoms.append(geoms[0].refine(2))
         bas.append(patch.refine(2))
     dms = [sfc_distribute(ba, default_costs(ba), nranks) for ba in bas]
-    tile = int(rng.integers(2, 6))
+    if tile is None:
+        tile = int(rng.integers(2, 6))
     pcs = [
         ParticleContainer(geoms, bas, dms, nreal=2, nint=1, tile_size=tile)
         for _ in range(2)
@@ -547,13 +550,21 @@ def test_halo_update_propagates_moves(rng):
 
 
 @pytest.mark.parametrize("fault", ["drop", "duplicate"])
-def test_fill_neighbors_raises_on_bad_delivery(rng, fault):
+@pytest.mark.parametrize("op", ["fill_neighbors", "update_neighbors", "sum_neighbors"])
+def test_halo_exchange_raises_on_bad_delivery(rng, op, fault):
     nranks = 4
     pc = _setup(nranks=nranks)
     _inject(pc, rng.random((300, DIM)))
     tr = FaultyTransport(nranks, fault, at=1)
     with pytest.raises(TransportError):
-        fill_neighbors(pc, 2, tr)
+        if op == "fill_neighbors":
+            fill_neighbors(pc, 2, tr)
+        else:
+            halo = fill_neighbors(pc, 2)
+            if op == "update_neighbors":
+                update_neighbors(pc, halo, tr)
+            else:
+                sum_neighbors(pc, halo, 0, tr)
     assert tr.sent > 1
 
 
@@ -586,6 +597,232 @@ def test_sum_neighbors_accumulates_ghost_contributions(rng):
         for k in range(t.size):
             pid = int(t.aos["id"][k])
             assert t.rdata[0, k] == float(replica_count.get(pid, 0))
+
+
+class LoopHalo:
+    """The per-copy halo operations: one scalar intersections query per
+    (tile, periodic shift), one message entry per copy, and per (holder
+    tile, owner tile) loops to refresh and fold back."""
+
+    class Tile:
+        __slots__ = ("pos", "ids", "rdata", "src_grid", "src_tile", "src_slot", "shift")
+
+        @property
+        def size(self):
+            return self.ids.shape[0]
+
+    class Halo:
+        def __init__(self, nghost, epoch):
+            self.nghost = nghost
+            self.epoch = epoch
+            self.tiles = {}
+
+    @classmethod
+    def fill(cls, pc, nghost, transport):
+        halo = cls.Halo(nghost, pc.epoch)
+        outbox = {}
+        arrivals = []
+        for key in pc.sorted_keys():
+            lev, g, t = key
+            tile = pc.tiles[key]
+            if tile.size == 0:
+                continue
+            geom = pc.geoms[lev]
+            dx = np.asarray(geom.cell_size)
+            layout_ba, layout_keys = pc.tile_layout(lev)
+            cells = _cells_at(geom, tile.aos["pos"])
+            src_rank = pc.dms[lev][g]
+            for s in _periodic_shifts(geom.domain, geom.periodic, geom.dim):
+                sc = np.asarray(s.coords, dtype=np.int64)
+                shifted = cells + sc
+                probe = Box(
+                    IntVect(int(shifted[:, d].min()) - nghost for d in range(pc.dim)),
+                    IntVect(int(shifted[:, d].max()) + nghost for d in range(pc.dim)),
+                )
+                for bidx, _ in layout_ba.intersections(probe):
+                    g2, t2 = map(int, layout_keys[bidx])
+                    if not any(s) and (g2, t2) == (g, t):
+                        continue
+                    tb = layout_ba[bidx].grow(nghost)
+                    inside = np.ones(tile.size, dtype=bool)
+                    for d in range(pc.dim):
+                        inside &= (shifted[:, d] >= tb.lo[d]) & (shifted[:, d] <= tb.hi[d])
+                    pos_img = tile.aos["pos"] + sc * dx
+                    dkey = (lev, g2, t2)
+                    dst_rank = pc.dms[lev][g2]
+                    for i in np.nonzero(inside)[0]:
+                        entry = (dkey, pos_img[i], int(tile.aos["id"][i]),
+                                 tile.rdata[:, i].copy(), g, t, int(i), sc)
+                        if dst_rank == src_rank:
+                            arrivals.append(entry)
+                        else:
+                            outbox.setdefault((src_rank, dst_rank), _Packed()).append(entry)
+        arrivals.extend(_exchange(transport, outbox, "fill_neighbors"))
+        grouped = {}
+        for entry in arrivals:
+            grouped.setdefault(entry[0], []).append(entry)
+        for dkey in sorted(grouped):
+            rows = grouped[dkey]
+            ht = cls.Tile()
+            ht.pos = np.array([r[1] for r in rows])
+            ht.ids = np.array([r[2] for r in rows], dtype=np.int64)
+            ht.rdata = np.stack([r[3] for r in rows], axis=1) if pc.nreal else np.zeros((0, len(rows)))
+            ht.src_grid = np.array([r[4] for r in rows], dtype=np.int64)
+            ht.src_tile = np.array([r[5] for r in rows], dtype=np.int64)
+            ht.src_slot = np.array([r[6] for r in rows], dtype=np.int64)
+            ht.shift = np.stack([r[7] for r in rows])
+            order = np.lexsort(
+                tuple(ht.shift[:, d] for d in range(pc.dim - 1, -1, -1))
+                + (ht.src_slot, ht.src_tile, ht.src_grid)
+            )
+            for name in cls.Tile.__slots__:
+                value = getattr(ht, name)
+                setattr(ht, name, value[:, order] if name == "rdata" else value[order])
+            halo.tiles[dkey] = ht
+        counters.incr("halo_copies", sum(ht.size for ht in halo.tiles.values()))
+        return halo
+
+    @staticmethod
+    def update(pc, halo, transport):
+        outbox = {}
+        for dkey in sorted(halo.tiles):
+            lev = dkey[0]
+            ht = halo.tiles[dkey]
+            dx = np.asarray(pc.geoms[lev].cell_size)
+            holder = pc.dms[lev][dkey[1]]
+            owner_ranks = np.array([pc.dms[lev][g] for g in ht.src_grid])
+            fresh_pos = np.empty_like(ht.pos)
+            fresh_r = np.empty_like(ht.rdata)
+            for g2, t2 in sorted(set(zip(ht.src_grid.tolist(), ht.src_tile.tolist()))):
+                sel = (ht.src_grid == g2) & (ht.src_tile == t2)
+                src = pc.tiles[(lev, g2, t2)]
+                slots = ht.src_slot[sel]
+                fresh_pos[sel] = src.aos["pos"][slots] + ht.shift[sel] * dx
+                fresh_r[:, sel] = src.rdata[:, slots]
+            local = owner_ranks == holder
+            ht.pos[local] = fresh_pos[local]
+            ht.rdata[:, local] = fresh_r[:, local]
+            for orank in sorted(set(owner_ranks.tolist()) - {holder}):
+                sel = np.nonzero(owner_ranks == orank)[0]
+                outbox.setdefault((orank, holder), _Packed()).append(
+                    (dkey, sel, fresh_pos[sel], fresh_r[:, sel])
+                )
+        for dkey, sel, pos_new, r_new in _exchange(transport, outbox, "update_neighbors"):
+            ht = halo.tiles[dkey]
+            ht.pos[sel] = pos_new
+            ht.rdata[:, sel] = r_new
+
+    @staticmethod
+    def sum(pc, halo, comp, transport):
+        cols = []
+        outbox = {}
+        for hidx, dkey in enumerate(sorted(halo.tiles)):
+            lev = dkey[0]
+            ht = halo.tiles[dkey]
+            holder = pc.dms[lev][dkey[1]]
+            owner_ranks = np.array([pc.dms[lev][g] for g in ht.src_grid])
+            block = np.column_stack(
+                [np.full(ht.size, lev, dtype=np.int64), ht.src_grid, ht.src_tile,
+                 ht.src_slot, np.full(ht.size, hidx, dtype=np.int64),
+                 np.arange(ht.size, dtype=np.int64)]
+            )
+            vals = ht.rdata[comp]
+            local = owner_ranks == holder
+            if local.any():
+                cols.append((block[local], vals[local]))
+            for orank in sorted(set(owner_ranks.tolist()) - {holder}):
+                sel = owner_ranks == orank
+                outbox.setdefault((holder, orank), _Packed()).append((block[sel], vals[sel]))
+        cols.extend(_exchange(transport, outbox, "sum_neighbors"))
+        if not cols:
+            return
+        keys = np.concatenate([c[0] for c in cols])
+        vals = np.concatenate([c[1] for c in cols])
+        order = np.lexsort(tuple(keys[:, c] for c in range(5, -1, -1)))
+        keys = keys[order]
+        vals = vals[order]
+        for i, j in zip(*_runs(keys[:, 0], keys[:, 1], keys[:, 2])):
+            tile = pc.tiles[tuple(keys[i, :3].tolist())]
+            np.add.at(tile.rdata[comp], keys[i:j, 3], vals[i:j])
+
+
+def _assert_same_halo(got, want):
+    assert list(got.tiles) == sorted(want.tiles)
+    for key, wt in want.tiles.items():
+        gt = got.tiles[key]
+        for name in LoopHalo.Tile.__slots__:
+            a, b = getattr(gt, name), getattr(wt, name)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), (key, name)
+            assert a.tobytes() == b.tobytes(), (key, name)
+
+
+def _halo_traffic(fn, *args):
+    before = counters.snapshot()
+    out = fn(*args)
+    after = counters.snapshot()
+    counts = {
+        c: after.get(c, 0) - before.get(c, 0)
+        for c in ("transport_messages", "transport_bytes", "halo_copies")
+    }
+    return out, counts
+
+
+def test_halo_matches_loop_reference(rng):
+    periodics = [True, (True, False, True), False, (False, True, True)]
+    trial = 0
+    for nranks in (1, 2, 4, 8):
+        for dim in (2, 3):
+            for nlevels in (1, 2):
+                for nghost in (1, 2):
+                    trial += 1
+                    periodic = periodics[trial % 4]
+                    if not isinstance(periodic, bool):
+                        periodic = periodic[:dim]
+                    tile = trial % 5 + 1
+                    new, ref = _two_containers(
+                        rng, dim, nlevels, nranks, periodic, 120, tile=tile
+                    )
+                    got, gc = _halo_traffic(fill_neighbors, new, nghost, Transport(nranks))
+                    want, wc = _halo_traffic(LoopHalo.fill, ref, nghost, Transport(nranks))
+                    _assert_same_halo(got, want)
+                    assert gc["halo_copies"] == wc["halo_copies"] == got.total
+                    assert gc["transport_messages"] == wc["transport_messages"]
+                    # owners move and change payload; copies must follow
+                    for key in new.sorted_keys():
+                        tn, tr = new.tiles[key], ref.tiles[key]
+                        moved = tn.aos["pos"] + 0.25 * rng.random(tn.aos["pos"].shape)
+                        tn.aos["pos"] = tr.aos["pos"] = moved
+                        tn.rdata[...] = tr.rdata[...] = rng.random(tn.rdata.shape)
+                    _, gc = _halo_traffic(update_neighbors, new, got, Transport(nranks))
+                    _, wc = _halo_traffic(LoopHalo.update, ref, want, Transport(nranks))
+                    _assert_same_halo(got, want)
+                    assert gc == wc
+                    for key, ht in want.tiles.items():
+                        ht.rdata[1] = got.tiles[key].rdata[1] = rng.random(ht.size) - 0.5
+                    _, gc = _halo_traffic(sum_neighbors, new, got, 1, Transport(nranks))
+                    _, wc = _halo_traffic(LoopHalo.sum, ref, want, 1, Transport(nranks))
+                    assert gc == wc
+                    _assert_same_storage(new, ref)
+
+
+def test_sum_neighbors_rank_invariant_with_fractional_values(rng):
+    pos = rng.random((400, DIM))
+    rdata = rng.random((1, 400)) * 100.0
+    results = {}
+    for nranks in (1, 2, 4, 8):
+        pc = _setup(n=16, mgs=4, nranks=nranks, tile_size=2)
+        _inject(pc, pos, rdata=rdata.copy())
+        halo = fill_neighbors(pc, nghost=2, transport=Transport(nranks))
+        # values spanning many magnitudes make every change of summation
+        # order visible in the last bits
+        g = np.random.default_rng(7)
+        halo.rdata[0] = g.random(halo.total) * 10.0 ** g.integers(-6, 7, halo.total)
+        sum_neighbors(pc, halo, 0, Transport(nranks))
+        results[nranks] = [
+            (key, pc.tiles[key].aos.tobytes(), pc.tiles[key].rdata.tobytes())
+            for key in pc.sorted_keys()
+        ]
+    assert results[1] == results[2] == results[4] == results[8]
 
 
 def test_neighbor_list_matches_n_squared(rng):

@@ -2,8 +2,10 @@
 determinism is the contract: the same data must serialize to the same bytes
 no matter how many ranks or writer threads produced it."""
 
+import errno
 import hashlib
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -169,6 +171,35 @@ def test_async_error_surfaces_on_wait(rng, tmp_path):
     )
     with pytest.raises(OSError):
         h.wait()
+
+
+@pytest.mark.parametrize(
+    "mode", [OutputMode.static(2), OutputMode.asynchronous()], ids=["static2", "async"]
+)
+def test_failed_pwrite_raises(tmp_path, monkeypatch, mode):
+    # four boxes on two ranks; the third pwrite (the sizing write counts)
+    # fails, which used to leave a zero-filled box behind a returned handle
+    domain = Box(IntVect.zero(2), IntVect(15, 15))
+    ba = BoxArray([domain]).max_size(8)
+    fa = FabArray(ba, sfc_distribute(ba, default_costs(ba), 2), 1, 0).setval(1.0)
+    header = PlotfileHeader(0.0, ["phi"], [Geometry(domain, (0.0, 0.0), (1.0, 1.0))])
+    real = os.pwrite
+    lock = threading.Lock()
+    calls = []
+
+    def pwrite(fd, data, offset):
+        with lock:
+            calls.append(offset)
+            nth = len(calls)
+        if nth == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+    with pytest.raises(OSError) as info:
+        write_plotfile(str(tmp_path / "plt"), [fa], header, mode).wait()
+    assert info.value.errno == errno.ENOSPC
+    assert len(calls) >= 3
 
 
 def test_async_queue_drains_in_order(rng, tmp_path):
