@@ -105,7 +105,8 @@ def apply_domain_boundary(fa, geom, record):
     """
     record.check_against(geom)
     dom = geom.domain
-    for f in fa.fabs.values():
+    for i in range(len(fa.ba)):
+        f = fa.fab(i)
         g = f.gbox
         for d in range(fa.dim):
             for side, cond in (("lo", record.lo[d]), ("hi", record.hi[d])):

@@ -179,8 +179,7 @@ def interp_to_fine(fine, crse, ratio, transport, method="pc"):
 def snapshot_valid(fa):
     """Ghost-free copy of a FabArray's valid data on the same layout."""
     out = FabArray(fa.ba, fa.dm, fa.ncomp, 0, fa.dtype)
-    for i in range(len(fa.ba)):
-        out.fab(i).valid()[...] = fa.fab(i).valid()
+    out.arena[...] = fa.valid_values()
     return out
 
 
@@ -216,10 +215,9 @@ def fill_patch(
         blended = crse_new
     else:
         blended = FabArray(crse_new.ba, crse_new.dm, crse_new.ncomp, 0, crse_new.dtype)
-        for i in range(len(blended.ba)):
-            blended.fab(i).valid()[...] = (1.0 - time_weight) * crse_old.fab(i).valid() + (
-                time_weight
-            ) * crse_new.fab(i).valid()
+        blended.arena[...] = (1.0 - time_weight) * crse_old.valid_values() + (
+            time_weight
+        ) * crse_new.valid_values()
     margin = 1 if kind == "linear" else 0
     gc = -(-dst.ngrow // max(min(ratio), 1)) + max(margin, 1)
     stage = FabArray(coarsened_layout(dst.ba, ratio), dst.dm, dst.ncomp, gc, dst.dtype)
@@ -237,6 +235,10 @@ def fill_patch(
         )
         f.data[...] = fine[(slice(None),) + idx]
     parallel_copy(dst, fine_src, transport, domain, periodic, ngrow=dst.ngrow)
+    # NaN marks a cell neither level filled; max propagates NaN, so one pass
+    # over the arena clears the common case
+    if not (dst.arena.size and np.isnan(dst.arena.max())):
+        return
     per = _normalize_periodic(periodic, dim)
     check = domain.grow(IntVect(dst.ngrow if per[d] else 0 for d in range(dim)))
     for j in range(len(dst.ba)):
@@ -319,9 +321,6 @@ class FluxRegister:
         if len(crse_fluxes) != self.dim:
             raise ValueError(f"expected {self.dim} flux FabArrays, got {len(crse_fluxes)}")
 
-        def combine(dst, src, rec):
-            dst -= scale * src
-
         for d, flux in enumerate(crse_fluxes):
             if flux.ncomp != self.ncomp:
                 raise ValueError("component count mismatch")
@@ -329,7 +328,8 @@ class FluxRegister:
                 "crse_add", (self.fine_ba, flux.ba), self.ratio.coords, d, domain
             )
             plan = _cached_plan(key, lambda: self._build_crse_add(flux.ba, d, domain))
-            _execute_plan(plan, flux, self.reg, transport, combine)
+            # dst + (-scale) * src has the bits of dst - scale * src
+            _execute_plan(plan, flux, self.reg, transport, "add", -scale)
 
     def _build_crse_add(self, flux_ba, d, domain):
         face = IndexType.face(self.dim, d)
@@ -400,12 +400,11 @@ class FluxRegister:
         )
         plan = _cached_plan(key, lambda: self._build_reflux(crse.ba, domain, periodic))
 
-        def combine(dst, src, rec):
-            d = rec.src_index // 2 % self.dim
-            sign = 1.0 if rec.src_index % 2 else -1.0
-            dst += (sign * dt_over_dx[d]) * src
-
-        _execute_plan(plan, self.reg, crse, transport, combine)
+        # per register patch p = (k*dim + d)*2 + side: sign * dt_over_dx[d]
+        p = np.arange(len(self.reg.ba))
+        sign = np.where(p % 2 == 1, 1.0, -1.0)
+        weights = sign * np.asarray(dt_over_dx, dtype=np.float64)[p // 2 % self.dim]
+        _execute_plan(plan, self.reg, crse, transport, "add", weights)
 
     def _build_reflux(self, crse_ba, domain, periodic):
         ext = domain.extents()

@@ -7,20 +7,40 @@ box; because every logical rank lives in this process, all Fabs are
 reachable, but data never crosses rank boundaries except through the
 Transport.
 
+All of a FabArray's data lives in one flat arena: box i occupies
+arena[offsets[i] : offsets[i] + ncomp * cells[i]], comp-major over its
+grown box of cells[i] cells, boxes in index order, and fab(i).data is a
+reshaped view of that slice.  component(c) views one component of the same
+arena through offsets + c * cells, so a component is an ordinary FabArray.
+
 Ghost exchange, inter-container copy, overlap summation, coarse/fine
 patch filling and flux-register refluxing (coarse_fine) share one
-machinery: a cached CommPlan of copy records, executed in two phases
-(stage every source value, then apply records in one global order).  The
-global order makes results bit-identical no matter how boxes are spread
-over ranks.  Plans are cached per layout uid and evicted when a layout
-they key on is garbage collected, so the cache holds plans for live
-layouts only.  Execution checks that every remote message the plan
+machinery: a cached CommPlan of copy records.  Plans are cached per
+layout uid and evicted when a layout they key on is garbage collected.
+On first use with a given pair of arena layouts and distribution maps a
+plan is compiled, once, into index arrays kept on the plan: per rank pair,
+the arena elements it sends, in record order and comp-major within a
+record; where they sit in one staged vector in plan order; and the
+destination element of every staged value.  Execution is then a gather,
+the Transport exchange (one message per rank pair, tagged with its record
+ids), and one scatter in plan order:
+
+- copy: assignment; a destination cell that several records write keeps
+  the last record's value (the others are dropped at compile time), so
+  the indices are unique;
+- add: the staged values, times a weight per source box when one is
+  given, are added with np.add.at, which applies repeated indices in plan
+  order (a plain indexed add when no index repeats).
+
+The global order makes results bit-identical no matter how boxes are
+spread over ranks.  Execution checks that every remote message the plan
 expects arrives exactly once and that no other message does.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -32,16 +52,17 @@ from .transport import TransportError
 
 
 class Fab:
-    """Data for one box: shape (ncomp, *extents(grow(box, ngrow)))."""
+    """Data for one box: shape (ncomp, *extents(grow(box, ngrow))), a view
+    of the box's slice of its FabArray's arena."""
 
     __slots__ = ("box", "gbox", "ncomp", "ngrow", "data")
 
-    def __init__(self, box, ncomp=1, ngrow=0, dtype=np.float64):
+    def __init__(self, box, ngrow, data):
         self.box = box
         self.ngrow = int(ngrow)
-        self.ncomp = int(ncomp)
+        self.ncomp = data.shape[0]
         self.gbox = box.grow(self.ngrow) if self.ngrow else box
-        self.data = np.zeros((self.ncomp,) + tuple(self.gbox.extents()), dtype=dtype)
+        self.data = data
 
     def slice(self, region, comp=None):
         """Numpy view of region (a Box inside the grown box); all comps or one."""
@@ -69,8 +90,23 @@ class Fab:
             self.valid(comp)[...] = value
 
 
+def _ranges(starts, lengths):
+    """The ranges [starts[k], starts[k] + lengths[k]) one after another,
+    as one int64 array."""
+    out = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.size)
+    return out
+
+
 class FabArray:
-    """One Fab per box of a BoxArray, assigned to ranks by a DistributionMapping."""
+    """One Fab per box of a BoxArray, assigned to ranks by a DistributionMapping.
+
+    arena is the flat storage of every Fab; offsets[i] and cells[i] are
+    box i's first arena element and its grown-box cell count, glo and gext
+    the (N, D) lo corners and extents of the grown boxes.  layout
+    identifies the arena placement (ncomp, ngrow, components stored per
+    box, first component) for a given BoxArray.
+    """
 
     def __init__(self, ba, dm, ncomp=1, ngrow=0, dtype=np.float64):
         if len(ba) != len(dm):
@@ -80,19 +116,111 @@ class FabArray:
         self.ncomp = int(ncomp)
         self.ngrow = int(ngrow)
         self.dtype = np.dtype(dtype)
-        self.fabs = {i: Fab(ba[i], ncomp, ngrow, dtype) for i in range(len(ba))}
+        bounds = ba.bounds()
+        self.glo = bounds[:, 0] - self.ngrow
+        self.gext = bounds[:, 1] - bounds[:, 0] + (1 + 2 * self.ngrow)
+        self.cells = self.gext.prod(axis=1)
+        size = self.ncomp * self.cells
+        self.offsets = np.cumsum(size) - size
+        self.arena = np.zeros(int(size.sum()), self.dtype)
+        self.layout = (self.ncomp, self.ngrow, self.ncomp, 0)
+        self._reset_views()
+
+    def _reset_views(self):
+        self._fabs = [None] * len(self.ba)
+        self._index = {}
+        self._components = {}
 
     @property
     def dim(self):
         return self.ba.dim
 
     def fab(self, i):
-        return self.fabs[i]
+        """Box i's Fab, a view of its arena slice (made on first use)."""
+        f = self._fabs[i]
+        if f is None:
+            off, ext = int(self.offsets[i]), self.gext[i].tolist()
+            n = self.ncomp * math.prod(ext)
+            data = self.arena[off : off + n].reshape(self.ncomp, *ext)
+            f = self._fabs[i] = Fab(self.ba[i], self.ngrow, data)
+        return f
+
+    def component(self, comp):
+        """FabArray of component comp alone, viewing this arena."""
+        if not 0 <= comp < self.ncomp:
+            raise ValueError(f"component {comp} outside [0, {self.ncomp})")
+        if self.ncomp == 1:
+            return self
+        out = self._components.get(comp)
+        if out is None:
+            out = FabArray.__new__(FabArray)
+            out.__dict__.update(self.__dict__)
+            out.ncomp = 1
+            out.offsets = self.offsets + comp * self.cells
+            out.layout = (1, self.ngrow, self.layout[2], self.layout[3] + comp)
+            out._reset_views()
+            self._components[comp] = out
+        return out
 
     def setval(self, value, comp=None, ghosts=True):
-        for f in self.fabs.values():
-            f.setval(value, comp, ghosts)
+        if comp is None and ghosts and self.layout[2] == self.ncomp:
+            self.arena[...] = value
+        else:
+            for i in range(len(self.ba)):
+                self.fab(i).setval(value, comp, ghosts)
         return self
+
+    def _region_index(self, box, lo, ext):
+        """Arena index of every element of the regions with lo corners lo
+        and extents ext (n, D) inside the grown boxes box: region after
+        region, comp-major, C order, the order of Fab.slice(region).ravel().
+        Raises if a region leaves its grown box."""
+        glo, gext = self.glo[box], self.gext[box]
+        rel = lo - glo
+        if (rel < 0).any() or (rel + ext > gext).any():
+            raise ValueError("copy region outside its grown box")
+        stride = np.ones_like(gext)
+        for d in reversed(range(self.dim - 1)):
+            stride[:, d] = stride[:, d + 1] * gext[:, d + 1]
+        base = self.offsets[box] + (rel * stride).sum(axis=1)
+        # every row along the last axis is a run of consecutive elements
+        nrow = ext[:, :-1].prod(axis=1)
+        region = np.repeat(np.arange(len(box)), self.ncomp * nrow)
+        rest = _ranges(np.zeros_like(nrow), self.ncomp * nrow)
+        comp, rest = np.divmod(rest, nrow[region])
+        start = base[region] + comp * self.cells[box][region]
+        for d in reversed(range(self.dim - 1)):
+            rest, pos = np.divmod(rest, ext[region, d])
+            start += pos * stride[region, d]
+        return _ranges(start, ext[region, -1])
+
+    def _layout_index(self, ghosts):
+        """Arena index of every valid element, box after box, in the order
+        of an ngrow=0 arena over the same boxes; or, with ghosts, of every
+        ghost element.  Cached."""
+        out = self._index.get(ghosts)
+        if out is None:
+            if ghosts:
+                pieces = [
+                    (i, p.lo, p.hi)
+                    for i in range(len(self.ba))
+                    for p in box_diff(self.fab(i).gbox, self.ba[i])
+                ]
+                box = np.array([p[0] for p in pieces], dtype=np.int64)
+                lo = np.array([p[1] for p in pieces], dtype=np.int64).reshape(-1, self.dim)
+                hi = np.array([p[2] for p in pieces], dtype=np.int64).reshape(-1, self.dim)
+            else:
+                bounds = self.ba.bounds()
+                box, lo, hi = np.arange(len(self.ba)), bounds[:, 0], bounds[:, 1]
+            out = self._index[ghosts] = self._region_index(box, lo, hi - lo + 1)
+        return out
+
+    def valid_values(self):
+        """Every valid element, in the order of an ngrow=0 arena over the
+        same boxes: a view of the arena when that is its layout."""
+        if self.ngrow == 0 and self.layout[2] == self.ncomp:
+            return self.arena
+        return self.arena[self._layout_index(False)]
 
 # ---------------------------------------------------------------------------
 # communication plans
@@ -132,12 +260,15 @@ class CommPlan:
     Records are sorted by order (CopyRecord.sort_key by default); with
     order=None they are kept as given, for plans whose records add to the
     same cell more than once in a sequence that fixes the result's bytes.
+    compiled holds the plan's index arrays per pair of arena layouts and
+    distribution maps (see _compile), so they go when the plan does.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "compiled")
 
     def __init__(self, records, order=CopyRecord.sort_key):
         self.records = list(records) if order is None else sorted(records, key=order)
+        self.compiled = {}
 
     def __len__(self):
         return len(self.records)
@@ -286,53 +417,117 @@ def build_plan_sum_boundary(ba, ngrow, domain, periodic=None):
 # ---------------------------------------------------------------------------
 
 
-def _execute_plan(plan, src_fa, dst_fa, transport, combine):
-    """Two-phase execution: stage every source slice, then apply records in
-    plan order as combine(dst_view, src_values, record).  Remote slices ride
-    one aggregated buffer per rank pair, tagged with its record ids.
+class _Compiled:
+    """A plan as index arrays for one pair of arena layouts and
+    distribution maps.
+
+    groups: per (src rank, dst rank) pair in sorted order, (src rank, dst
+    rank, tag, gather, place): the tag is the tuple of the pair's record
+    ids, gather the source arena elements of those records in record order
+    (comp-major within a record), place their positions in the staged
+    vector, which holds every record's elements in plan order.  dst is the
+    destination arena element of each staged value (take selects the
+    staged values it receives when some were dropped), and unique says
+    whether dst repeats no element.  src_index and sizes are each record's
+    source box and element count.
+    """
+
+    __slots__ = ("groups", "dst", "take", "unique", "src_index", "sizes")
+
+
+def _compile(plan, src_fa, dst_fa, copy):
+    """Index arrays of plan between src_fa and dst_fa; with copy (the last
+    write wins), destination elements that a later record overwrites are
+    dropped, which leaves dst unique."""
+    if src_fa.ncomp != dst_fa.ncomp:
+        raise ValueError(f"component count mismatch: {src_fa.ncomp} vs {dst_fa.ncomp}")
+    dim, nranks = src_fa.dim, src_fa.dm.nranks
+    recs = plan.records
+    shape = (len(recs), dim)
+    si = np.array([r.src_index for r in recs], dtype=np.int64)
+    di = np.array([r.dst_index for r in recs], dtype=np.int64)
+    slo = np.array([r.src_box.lo for r in recs], dtype=np.int64).reshape(shape)
+    dlo = np.array([r.dst_box.lo for r in recs], dtype=np.int64).reshape(shape)
+    ext = np.array([r.src_box.hi for r in recs], dtype=np.int64).reshape(shape) - slo + 1
+    src = src_fa._region_index(si, slo, ext)
+    dst = dst_fa._region_index(di, dlo, ext)
+    size = src_fa.ncomp * ext.prod(axis=1)
+    start = np.cumsum(size) - size
+    pair = np.asarray(src_fa.dm.owner, dtype=np.int64)[si] * nranks + np.asarray(
+        dst_fa.dm.owner, dtype=np.int64
+    )[di]
+    order = np.argsort(pair, kind="stable")
+    groups = []
+    for rids in np.split(order, np.flatnonzero(np.diff(pair[order])) + 1):
+        if rids.size:
+            place = _ranges(start[rids], size[rids])
+            sr, dr = divmod(int(pair[rids[0]]), nranks)
+            groups.append((sr, dr, tuple(rids.tolist()), src[place], place))
+    out = _Compiled()
+    out.groups = groups
+    out.src_index = si
+    out.sizes = size
+    # stable sort by destination: each run lists one element's writes in plan order
+    by_dst = np.argsort(dst, kind="stable")
+    last = np.ones(dst.size, dtype=bool)
+    last[:-1] = dst[by_dst[1:]] != dst[by_dst[:-1]]
+    out.unique = bool(last.all())
+    out.take = None
+    if copy and not out.unique:
+        out.take = np.sort(by_dst[last])
+        dst = dst[out.take]
+        out.unique = True
+    out.dst = dst
+    return out
+
+
+def _execute_plan(plan, src_fa, dst_fa, transport, combine, weights=None):
+    """Gather every source element the plan reads, move the remote ones
+    over the transport (one buffer per rank pair, tagged with its record
+    ids), and scatter into dst_fa in plan order.  combine is "copy"
+    (assignment, the last write wins) or "add" (np.add.at, in plan order,
+    of the values times weights: a scalar, or one weight per source box).
 
     Raises TransportError when a remote message the plan expects does not
     arrive, arrives twice, or a message it does not expect is drained."""
     nranks = transport.nranks
     if src_fa.dm.nranks != nranks or dst_fa.dm.nranks != nranks:
         raise ValueError("transport rank count differs from the distribution maps")
-    groups = plan.pairs(src_fa.dm, dst_fa.dm)
-    staged = [None] * len(plan)
+    key = (src_fa.layout, dst_fa.layout, src_fa.dm, dst_fa.dm, combine)
+    c = plan.compiled.get(key)
+    if c is None:
+        c = plan.compiled[key] = _compile(plan, src_fa, dst_fa, combine == "copy")
+    staged = np.empty(int(c.sizes.sum()), dtype=src_fa.dtype)
     expected = {}
-    # local records stage by direct copy; remote ones pack one buffer per pair
-    for (sr, dr), rids in sorted(groups.items()):
+    for sr, dr, tag, gather, place in c.groups:
         if sr == dr:
-            for rid in rids:
-                rec = plan.records[rid]
-                staged[rid] = src_fa.fab(rec.src_index).slice(rec.src_box).copy()
+            staged[place] = src_fa.arena[gather]
         else:
-            parts = [
-                src_fa.fab(plan.records[rid].src_index)
-                .slice(plan.records[rid].src_box)
-                .ravel()
-                for rid in rids
-            ]
-            tag = tuple(rids)
-            expected[(sr, dr)] = tag
-            transport.send(sr, dr, tag, np.concatenate(parts))
+            expected[(sr, dr)] = (tag, place)
+            transport.send(sr, dr, tag, src_fa.arena[gather])
     for dr in range(nranks):
-        for sr, rids, buf in transport.drain(dr):
-            if expected.pop((sr, dr), None) != rids:
+        for sr, tag, buf in transport.drain(dr):
+            want = expected.pop((sr, dr), None)
+            if want is None or want[0] != tag:
                 raise TransportError(sr, dr, "unexpected or duplicated message")
-            offset = 0
-            for rid in rids:
-                rec = plan.records[rid]
-                n = rec.src_box.num_cells() * src_fa.ncomp
-                shape = (src_fa.ncomp,) + tuple(rec.src_box.extents())
-                staged[rid] = buf[offset : offset + n].reshape(shape)
-                offset += n
-            if offset != buf.size:
+            if buf.size != want[1].size:
                 raise ValueError("buffer size mismatch while unpacking")
+            staged[want[1]] = buf
     if expected:
         sr, dr = min(expected)
         raise TransportError(sr, dr, f"{len(expected)} expected message(s) never arrived")
-    for rid, rec in enumerate(plan.records):
-        combine(dst_fa.fab(rec.dst_index).slice(rec.dst_box), staged[rid], rec)
+    arena = dst_fa.arena
+    if combine == "copy":
+        arena[c.dst] = staged if c.take is None else staged[c.take]
+        return
+    if weights is not None:
+        if not np.isscalar(weights):
+            weights = np.repeat(np.asarray(weights)[c.src_index], c.sizes)
+        staged *= weights
+    if c.unique:
+        arena[c.dst] += staged
+    else:
+        np.add.at(arena, c.dst, staged)
 
 
 def fill_boundary(fa, transport, domain, periodic=None):
@@ -341,11 +536,7 @@ def fill_boundary(fa, transport, domain, periodic=None):
     if fa.ngrow == 0:
         return
     plan = build_plan_fill_boundary(fa.ba, fa.ngrow, domain, periodic)
-
-    def combine(dst, src, rec):
-        dst[...] = src
-
-    _execute_plan(plan, fa, fa, transport, combine)
+    _execute_plan(plan, fa, fa, transport, "copy")
 
 
 def parallel_copy(dst_fa, src_fa, transport, domain=None, periodic=None, ngrow=0):
@@ -358,29 +549,20 @@ def parallel_copy(dst_fa, src_fa, transport, domain=None, periodic=None, ngrow=0
     if not 0 <= ngrow <= dst_fa.ngrow:
         raise ValueError(f"ngrow {ngrow} outside [0, {dst_fa.ngrow}] (dst ghost width)")
     plan = build_plan_copy(dst_fa.ba, src_fa.ba, domain, periodic, ngrow)
-
-    def combine(dst, src, rec):
-        dst[...] = src
-
-    _execute_plan(plan, src_fa, dst_fa, transport, combine)
+    _execute_plan(plan, src_fa, dst_fa, transport, "copy")
 
 
 def sum_boundary(fa, transport, domain, periodic=None):
-    """Add every ghost copy of a cell back onto that cell's valid value.
+    """Add every ghost copy of a cell back onto that cell's valid value,
+    then zero the ghost cells.
 
     The apply order is the plan order, fixed at build time, so repeated
     runs and different rank counts sum in exactly the same sequence."""
     if fa.ngrow == 0:
         return
     plan = build_plan_sum_boundary(fa.ba, fa.ngrow, domain, periodic)
-
-    def combine(dst, src, rec):
-        dst[...] += src
-
-    _execute_plan(plan, fa, fa, transport, combine)
-    for f in fa.fabs.values():
-        for piece in box_diff(f.gbox, f.box):
-            f.slice(piece)[...] = 0
+    _execute_plan(plan, fa, fa, transport, "add")
+    fa.arena[fa._layout_index(True)] = 0
 
 
 def reduce(fa, kind, comp, transport):

@@ -24,7 +24,6 @@ from . import counters, kernels
 from .boxarray import BoxArray
 from .fabarray import (
     FabArray,
-    Fab,
     fill_boundary,
     parallel_copy,
     sum_boundary,
@@ -942,28 +941,6 @@ def partition(n, predicate):
 # ---------------------------------------------------------------------------
 
 
-class _FabAlias(Fab):
-    """One component of an existing Fab, sharing its storage."""
-
-    def __init__(self, base, comp):
-        self.box = base.box
-        self.gbox = base.gbox
-        self.ncomp = 1
-        self.ngrow = base.ngrow
-        self.data = base.data[comp : comp + 1]
-
-
-def _comp_alias(fa, comp):
-    out = FabArray.__new__(FabArray)
-    out.ba = fa.ba
-    out.dm = fa.dm
-    out.ncomp = 1
-    out.ngrow = fa.ngrow
-    out.dtype = fa.dtype
-    out.fabs = {i: _FabAlias(f, comp) for i, f in fa.fabs.items()}
-    return out
-
-
 _KERNEL_RADIUS = {"ngp": 0, "cic": 1}
 
 
@@ -1040,10 +1017,9 @@ def particle_to_mesh(
         buf = np.zeros(tuple(bufbox.extents()), dtype=target.dtype)
         _deposit_tile(geom, kernel, tile.aos["pos"], w, buf, bufbox)
         target.fab(g).slice(bufbox, tcomp)[...] += buf
-    alias = _comp_alias(target, tcomp) if target.ncomp > 1 else target
-    sum_boundary(alias, transport, geom.domain, geom.periodic)
+    sum_boundary(target.component(tcomp), transport, geom.domain, geom.periodic)
     if dual_grid:
-        mesh_alias = _comp_alias(mesh, comp)
+        mesh_alias = mesh.component(comp)
         mesh_alias.setval(0.0)
         parallel_copy(mesh_alias, target, transport, geom.domain, geom.periodic)
 
@@ -1064,7 +1040,7 @@ def mesh_to_particle(
     geom = pc.geoms[level]
     if dual_grid:
         src = FabArray(pc.bas[level], pc.dms[level], 1, ngrow=max(radius, 1), dtype=mesh.dtype)
-        parallel_copy(src, _comp_alias(mesh, comp), transport, geom.domain, geom.periodic)
+        parallel_copy(src, mesh.component(comp), transport, geom.domain, geom.periodic)
         scomp = 0
     else:
         if mesh.ngrow < radius:
@@ -1074,7 +1050,7 @@ def mesh_to_particle(
         src = mesh
         scomp = comp
     fill_boundary(
-        _comp_alias(src, scomp) if src.ncomp > 1 else src,
+        src.component(scomp),
         transport,
         geom.domain,
         geom.periodic,

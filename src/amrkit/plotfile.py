@@ -9,6 +9,10 @@ Directory layout (full byte layout in FORMAT.md):
 
 Every record's byte offset is computed before any data is written, so the
 file contents depend only on the data and never on write interleaving.
+Records are packed in box order, which is the byte layout of an ngrow=0
+FabArray arena, so a level reads back with one readinto.  A plotfile's
+or checkpoint's Header is written after everything it describes, so a
+failed or interrupted write leaves no readable Header.
 Static mode writes rank by rank in ceil(R/nwriters) waves with nwriters
 live at once; async mode snapshots the data, hands it to one background
 writer thread (bounded queue of one, so a second call blocks until the
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import os
 import queue
+import sys
 import threading
 
 import numpy as np
@@ -158,15 +163,11 @@ def _parse_box(parts, dim):
 
 
 def _record_layout(mesh):
-    """(offsets, nbytes) per box: comp-major float64 of the valid region."""
-    offsets, sizes = [], []
-    at = 0
-    for i in range(len(mesh.ba)):
-        n = 8 * mesh.ncomp * mesh.ba[i].num_cells()
-        offsets.append(at)
-        sizes.append(n)
-        at += n
-    return offsets, sizes, at
+    """(offsets, nbytes, total): comp-major float64 of each box's valid
+    region, packed in box order."""
+    bounds = mesh.ba.bounds()
+    sizes = 8 * mesh.ncomp * (bounds[:, 1] - bounds[:, 0] + 1).prod(axis=1)
+    return (np.cumsum(sizes) - sizes).tolist(), sizes.tolist(), int(sizes.sum())
 
 
 def _header_text(header, meshes):
@@ -258,10 +259,18 @@ def _write_level_records(
         os.close(fd)
 
 
+def _remove_header(path):
+    """Drop a Header left by an earlier write, before new data goes in."""
+    try:
+        os.remove(os.path.join(path, "Header"))
+    except FileNotFoundError:
+        pass
+
+
 def _write_plotfile_now(path, header_text, level_payloads, nwriters):
+    # the Header goes last: a failed or interrupted write leaves none
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "Header"), "w") as fh:
-        fh.write(header_text)
+    _remove_header(path)
     for lev, (arrays, owners, offsets, sizes, total, nranks) in enumerate(
         level_payloads
     ):
@@ -277,6 +286,8 @@ def _write_plotfile_now(path, header_text, level_payloads, nwriters):
             nwriters,
             nranks,
         )
+    with open(os.path.join(path, "Header"), "w") as fh:
+        fh.write(header_text)
 
 
 def write_plotfile(path, meshes, header, mode=None, transport=None):
@@ -357,13 +368,17 @@ def read_plotfile(path, nranks=1):
             else DistributionMapping([i % nranks for i in range(len(ba))], nranks)
         )
         mesh = FabArray(ba, dm, ncomp=len(names), ngrow=0)
+        want_offs, want_sizes, total = _record_layout(mesh)
+        if offs != want_offs or sizes != want_sizes:
+            raise ValueError(f"level {lev}: records are not packed in box order")
+        # packed comp-major records in box order are the ngrow=0 arena's bytes
         fname = os.path.join(path, f"Level_{lev}", "data.bin")
         with open(fname, "rb") as fh:
-            raw = fh.read()
-        for i in range(nboxes):
-            rec = np.frombuffer(raw[offs[i] : offs[i] + sizes[i]], dtype="<f8")
-            shape = (len(names),) + tuple(ba[i].extents())
-            mesh.fab(i).valid()[...] = rec.reshape(shape)
+            got = fh.readinto(memoryview(mesh.arena).cast("B"))
+        if got != total:
+            raise ValueError(f"level {lev}: {fname} holds {got} of {total} bytes")
+        if sys.byteorder != "little":
+            mesh.arena.byteswap(inplace=True)
         meshes.append(mesh)
     header = PlotfileHeader(time, names, geoms)
     return header, meshes
@@ -485,14 +500,16 @@ def write_checkpoint(
         lines.append(f"owners {lev} " + _fmt_ints(mesh.dm))
     lines.append(f"blob {len(user_blob)}")
     lines.append(f"particles {1 if pc is not None else 0}")
-    with open(os.path.join(path, "Header"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # the Header goes last: a failed or interrupted write leaves none
+    _remove_header(path)
     with open(os.path.join(path, "blob.bin"), "wb") as fh:
         fh.write(user_blob)
     handle = write_plotfile(os.path.join(path, "mesh"), meshes, header, mode, transport)
     handle.wait()
     if pc is not None:
         write_particles(os.path.join(path, "particles"), pc)
+    with open(os.path.join(path, "Header"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_checkpoint(path):

@@ -202,6 +202,82 @@ def test_failed_pwrite_raises(tmp_path, monkeypatch, mode):
     assert len(calls) >= 3
 
 
+def _four_boxes_on_two_ranks():
+    domain = Box(IntVect.zero(2), IntVect(15, 15))
+    ba = BoxArray([domain]).max_size(8)
+    fa = FabArray(ba, sfc_distribute(ba, default_costs(ba), 2), 1, 0).setval(1.0)
+    header = PlotfileHeader(0.0, ["phi"], [Geometry(domain, (0.0, 0.0), (1.0, 1.0))])
+    return fa, header
+
+
+@pytest.mark.parametrize("target", ["plotfile", "checkpoint"])
+@pytest.mark.parametrize(
+    "mode", [OutputMode.static(2), OutputMode.asynchronous()], ids=["static2", "async"]
+)
+def test_failed_write_leaves_no_readable_header(tmp_path, monkeypatch, mode, target):
+    # the Header is written last, so a write whose data failed cannot be
+    # read back as zeros; a rewrite over a good one drops the old Header
+    fa, header = _four_boxes_on_two_ranks()
+    path = str(tmp_path / target)
+    write, read = {
+        "plotfile": (lambda: write_plotfile(path, [fa], header, mode).wait(), read_plotfile),
+        "checkpoint": (
+            lambda: write_checkpoint(path, [fa], header, step=1, mode=mode),
+            read_checkpoint,
+        ),
+    }[target]
+    write()
+    read(path)
+    real = os.pwrite
+    lock = threading.Lock()
+    calls = []
+
+    def pwrite(fd, data, offset):
+        with lock:
+            calls.append(offset)
+            nth = len(calls)
+        if nth == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+    with pytest.raises(OSError):
+        write()
+    monkeypatch.setattr(os, "pwrite", real)
+    assert not os.path.exists(os.path.join(path, "Header"))
+    with pytest.raises(OSError):
+        read(path)
+
+
+def test_truncated_level_data_raises(rng, tmp_path):
+    header, meshes = _two_level(rng)
+    path = str(tmp_path / "plt")
+    write_plotfile(path, meshes, header).wait()
+    fname = os.path.join(path, "Level_1", "data.bin")
+    size = os.path.getsize(fname)
+    os.truncate(fname, size - 8)
+    with pytest.raises(ValueError, match="bytes"):
+        read_plotfile(path)
+
+
+def test_unpacked_record_layout_raises(rng, tmp_path):
+    # the reader takes a level in one read, so the Header's record offsets
+    # and sizes must be the packed box-order layout the writer produces
+    header, meshes = _two_level(rng)
+    path = str(tmp_path / "plt")
+    write_plotfile(path, meshes, header).wait()
+    hdr = os.path.join(path, "Header")
+    text = open(hdr).read()
+    lines = text.splitlines()
+    boxes = [k for k, ln in enumerate(lines) if ln.startswith("box ")]
+    a, b = lines[boxes[0]].split(), lines[boxes[1]].split()
+    a[-2], b[-2] = b[-2], a[-2]  # swap the first two records' offsets
+    lines[boxes[0]], lines[boxes[1]] = " ".join(a), " ".join(b)
+    open(hdr, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="packed"):
+        read_plotfile(path)
+
+
 def test_async_queue_drains_in_order(rng, tmp_path):
     # back-to-back submissions; the single worker with a depth-one queue
     # must complete all of them correctly
