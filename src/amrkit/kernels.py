@@ -4,6 +4,14 @@ The invariant that matters is rank invariance.  np.add.at applies updates
 strictly in index order, so a deposit adds its contributions in particle
 order, corner order within a particle, whatever the tiling or rank count
 that produced the particle arrays; equal inputs give bitwise-equal grids.
+
+The CIC kernels address one flat array.  In the box-local form that array
+is a D-dimensional box (lo corner arr_lo, C order).  In the batched form
+each particle names its own box inside the flat array, by a lo corner, C
+strides and a base offset, so one call serves every tile or grid of a
+level: particle_to_mesh deposits into per-tile buffers laid out as
+segments of one array, and mesh_to_particle gathers straight from a
+FabArray arena.  Per particle, the arithmetic is the same in both forms.
 """
 
 from __future__ import annotations
@@ -15,71 +23,67 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def deposit_cic(pos, weights, plo, dxinv, arr_lo, out):
-    """Scatter weights onto out (a box-local array) with linear CIC stencils.
+def _stencil(pos, plo, dxinv, arr_lo, shape, stride, base):
+    """Flat index of the 2**D cell centers bracketing each particle, (n,
+    2**D) in corner order (bit D-1-d of the corner selects the upper
+    neighbor along d), the fractional offsets fr (n, D) and the corner bits
+    (2**D, D).  stride None means the C strides of shape and base 0."""
+    dim = pos.shape[1]
+    xc = (pos - np.asarray(plo, dtype=np.float64)) * np.asarray(dxinv, dtype=np.float64) - 0.5
+    il = np.floor(xc).astype(np.int64)
+    fr = xc - il
+    if stride is None:
+        stride = np.cumprod((tuple(shape[1:]) + (1,))[::-1])[::-1]
+    stride = np.asarray(stride, dtype=np.int64)
+    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+    lin = ((il - np.asarray(arr_lo, dtype=np.int64)) * stride).sum(axis=1)
+    if base is not None:
+        lin += base
+    step = stride @ bits.T if stride.ndim == 2 else bits @ stride
+    return lin[:, None] + step, fr, bits
 
-    Particle i contributes to the 2**D cell centers bracketing it; updates
-    are applied in particle order, corner order within a particle.
+
+def deposit_cic(pos, weights, plo, dxinv, arr_lo, out, stride=None, base=None):
+    """Scatter weights onto out with linear CIC stencils.
+
+    Box-local form: out is a D-dimensional array whose lo corner is
+    arr_lo.  Batched form: out is flat, and arr_lo and stride (n, D) and
+    base (n,) give each particle's box as out[base + (cell - arr_lo) .
+    stride].  Particle i contributes to the 2**D cell centers bracketing
+    it; each contribution is ((w * f_0) * f_1) ... and updates are applied
+    in particle order, corner order within a particle.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    plo = np.asarray(plo, dtype=np.float64)
-    dxinv = np.asarray(dxinv, dtype=np.float64)
-    arr_lo = np.asarray(arr_lo, dtype=np.int64)
     n, dim = pos.shape
     if n == 0:
         return
-    ncorner = 1 << dim
-    xc = (pos - plo) * dxinv - 0.5
-    il = np.floor(xc).astype(np.int64)
-    fr = xc - il
-    shape = out.shape
-    flat = out.reshape(-1)
-    idx = np.zeros((n, ncorner), dtype=np.int64)
-    wc = np.broadcast_to(weights[:, None], (n, ncorner)).copy()
+    idx, fr, bits = _stencil(pos, plo, dxinv, arr_lo, out.shape, stride, base)
+    wc = weights[:, None]
     for d in range(dim):
-        stride = 1
-        for dd in range(d + 1, dim):
-            stride *= shape[dd]
-        bit = 1 << (dim - 1 - d)
-        for c in range(ncorner):
-            off = 1 if (c & bit) else 0
-            idx[:, c] += (il[:, d] + off - arr_lo[d]) * stride
-            wc[:, c] *= fr[:, d] if off else (1.0 - fr[:, d])
-    np.add.at(flat, idx.reshape(-1), wc.reshape(-1))
+        wc = wc * np.where(bits[:, d], fr[:, d, None], 1.0 - fr[:, d, None])
+    np.add.at(out.reshape(-1), idx.reshape(-1), wc.reshape(-1))
 
 
-def gather_cic(pos, plo, dxinv, arr_lo, grid):
-    """Interpolate grid (a box-local array) to particle positions, linearly."""
+def gather_cic(pos, plo, dxinv, arr_lo, grid, stride=None, base=None):
+    """Interpolate grid to particle positions, linearly.
+
+    grid and the indexing arguments take the two forms of deposit_cic.
+    Each value is accumulated corner by corner from 0 as out += w *
+    grid[corner], with w = ((1 * f_0) * f_1) ...
+    """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
-    plo = np.asarray(plo, dtype=np.float64)
-    dxinv = np.asarray(dxinv, dtype=np.float64)
-    arr_lo = np.asarray(arr_lo, dtype=np.int64)
-    grid = np.ascontiguousarray(grid)
     n, dim = pos.shape
     out = np.zeros(n)
     if n == 0:
         return out
-    ncorner = 1 << dim
-    xc = (pos - plo) * dxinv - 0.5
-    il = np.floor(xc).astype(np.int64)
-    fr = xc - il
-    shape = grid.shape
-    flat = grid.reshape(-1)
-    for c in range(ncorner):
-        lin = np.zeros(n, dtype=np.int64)
-        w = np.ones(n)
-        for d in range(dim):
-            stride = 1
-            for dd in range(d + 1, dim):
-                stride *= shape[dd]
-            if c & (1 << (dim - 1 - d)):
-                lin += (il[:, d] + 1 - arr_lo[d]) * stride
-                w = w * fr[:, d]
-            else:
-                lin += (il[:, d] - arr_lo[d]) * stride
-                w = w * (1.0 - fr[:, d])
-        out += w * flat[lin]
+    idx, fr, bits = _stencil(pos, plo, dxinv, arr_lo, np.shape(grid), stride, base)
+    vals = np.ascontiguousarray(grid).reshape(-1)[idx]
+    w = np.ones((n, 1))
+    for d in range(dim):
+        w = w * np.where(bits[:, d], fr[:, d, None], 1.0 - fr[:, d, None])
+    for c in range(1 << dim):
+        out += w[:, c] * vals[:, c]
     return out
 
 

@@ -12,22 +12,25 @@ Conventions pinned here:
     storage, not views: each holds its own particle-major record array and
     component-major extras.
   * Every tile is kept sorted by id.  Arrival order during exchanges then
-    never leaks into storage order, which makes per-tile loops (deposition
-    included) independent of the rank count.
+    never leaks into storage order, which makes every pass over the tiles
+    in key order (deposition included) independent of the rank count.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import counters, kernels
-from .boxarray import BoxArray
+from .boxarray import BoxArray, on_free
 from .fabarray import (
     FabArray,
     fill_boundary,
     parallel_copy,
     sum_boundary,
     _periodic_shifts,
+    _ranges,
 )
 from .index_space import Box, IntVect, as_intvect
 from .transport import Transport, TransportError
@@ -185,6 +188,32 @@ def tile_box_of(box, tsz, tid):
 # ---------------------------------------------------------------------------
 
 
+class _LayoutCache(dict):
+    """Data derived from a particle layout, keyed (level, layout uid, ...):
+    tile layouts and deposit folds.  Entries go when their layout is
+    garbage collected."""
+
+    def __init__(self):
+        super().__init__()
+        ref = weakref.ref(self)
+
+        def evict(uid):
+            cache = ref()
+            if cache is not None:
+                for key in list(cache):
+                    if key[1] == uid:
+                        cache.pop(key, None)
+
+        self.evict = evict
+
+    def cached(self, key, ba, build):
+        hit = self.get(key)
+        if hit is None:
+            on_free(ba, self.evict)
+            hit = self[key] = build()
+        return hit
+
+
 class ParticleContainer:
     """Per-level particle storage over (BoxArray, DistributionMapping) pairs.
 
@@ -215,7 +244,7 @@ class ParticleContainer:
         self.tiles = {}
         self.epoch = 0
         self._next = [0] * self.nranks
-        self._tile_layouts = {}
+        self._layouts = _LayoutCache()
 
     @property
     def dim(self):
@@ -261,19 +290,18 @@ class ParticleContainer:
         keys as an (ntiles, 2) array."""
         ba = self.bas[level]
         token = (level, ba.uid, self.tile_size.coords)
-        hit = self._tile_layouts.get(token)
-        if hit is not None:
-            return hit
-        boxes, keys = [], []
-        for g in range(len(ba)):
-            counts = _tile_counts(ba[g], self.tile_size)
-            ntiles = int(np.prod(counts))
-            for tid in range(ntiles):
-                boxes.append(tile_box_of(ba[g], self.tile_size, tid))
-                keys.append((g, tid))
-        layout = (BoxArray(boxes, validate=False), np.array(keys, dtype=np.int64))
-        self._tile_layouts[token] = layout
-        return layout
+
+        def build():
+            boxes, keys = [], []
+            for g in range(len(ba)):
+                counts = _tile_counts(ba[g], self.tile_size)
+                ntiles = int(np.prod(counts))
+                for tid in range(ntiles):
+                    boxes.append(tile_box_of(ba[g], self.tile_size, tid))
+                    keys.append((g, tid))
+            return BoxArray(boxes, validate=False), np.array(keys, dtype=np.int64)
+
+        return self._layouts.cached(token, ba, build)
 
     def add_particles(self, pos, rdata=None, idata=None, ids=None, origin_rank=0):
         """Insert particles at their located (level, grid, tile) buckets."""
@@ -944,35 +972,62 @@ def partition(n, predicate):
 _KERNEL_RADIUS = {"ngp": 0, "cic": 1}
 
 
-def _frame_lo(geom, box_lo):
-    return np.asarray(box_lo.coords, dtype=np.int64) - np.asarray(
-        geom.domain.lo.coords, dtype=np.int64
-    )
+def _c_strides(ext):
+    """C-order element strides of boxes with extents ext, (n, D)."""
+    ones = np.ones((ext.shape[0], 1), dtype=np.int64)
+    return np.concatenate([np.cumprod(ext[:, :0:-1], axis=1)[:, ::-1], ones], axis=1)
 
 
-def _deposit_tile(geom, kernel, pos, weights, buf, bufbox):
-    plo = np.asarray(geom.prob_lo)
-    dxinv = 1.0 / np.asarray(geom.cell_size)
-    arr_lo = _frame_lo(geom, bufbox.lo)
-    if kernel == "cic":
-        kernels.deposit_cic(pos, weights, plo, dxinv, arr_lo, buf)
-        return
-    cells = np.floor((pos - plo) * dxinv).astype(np.int64) - arr_lo
-    flat = buf.reshape(-1)
-    lin = np.zeros(pos.shape[0], dtype=np.int64)
-    for d in range(pos.shape[1]):
-        lin = lin * buf.shape[d] + cells[:, d]
-    np.add.at(flat, lin, weights)
+def _level_particles(pc, level):
+    """The level's non-empty tile keys in sorted_keys() order, their
+    particle counts, and their positions concatenated in that order (None
+    without keys)."""
+    keys = [k for k in pc.sorted_keys() if k[0] == level and pc.tiles[k].size]
+    counts = np.array([pc.tiles[k].size for k in keys], dtype=np.int64)
+    pos = np.concatenate([pc.tiles[k].aos["pos"] for k in keys]) if keys else None
+    return keys, counts, pos
 
 
-def _gather_tile(geom, kernel, pos, grid, gbox):
-    plo = np.asarray(geom.prob_lo)
-    dxinv = 1.0 / np.asarray(geom.cell_size)
-    arr_lo = _frame_lo(geom, gbox.lo)
-    if kernel == "cic":
-        return kernels.gather_cic(pos, plo, dxinv, arr_lo, grid)
-    cells = np.floor((pos - plo) * dxinv).astype(np.int64) - arr_lo
-    return grid[tuple(cells[:, d] for d in range(pos.shape[1]))]
+def _frame(geom):
+    """prob_lo and inverse cell size, as the kernels take them."""
+    return np.asarray(geom.prob_lo), 1.0 / np.asarray(geom.cell_size)
+
+
+def _per_particle(geom, counts, lo, stride, base):
+    """The kernels' batched indexing, (lo, stride, base), from one row per
+    tile repeated over the tile's counts particles; lo corners go into the
+    frame of the domain's lo corner, where prob_lo sits."""
+    lo = lo - np.asarray(geom.domain.lo.coords, dtype=np.int64)
+    return tuple(np.repeat(a, counts, axis=0) for a in (lo, stride, base))
+
+
+def _ngp_index(plo, dxinv, pos, lo, stride, base):
+    """Flat index of the cell holding each particle, in the batched form
+    of the CIC kernels."""
+    cells = np.floor((pos - plo) * dxinv).astype(np.int64)
+    return base + ((cells - lo) * stride).sum(axis=1)
+
+
+def _deposit_layout(pc, level, radius, target):
+    """Per tile of the level's tile layout, in layout order: the buffer
+    (tile region grown by radius) lo corners, extents and sizes, the row
+    of each grid's first tile, and the fold: the arena index in target of
+    every buffer element, buffer after buffer.  Cached with the tile
+    layout."""
+    ba = pc.bas[level]
+    token = (level, ba.uid, pc.tile_size.coords, radius, target.layout)
+
+    def build():
+        tiles, keys = pc.tile_layout(level)
+        b = tiles.bounds()
+        lo = b[:, 0] - radius
+        ext = b[:, 1] - b[:, 0] + 1 + 2 * radius
+        size = ext.prod(axis=1)
+        first = np.searchsorted(keys[:, 0], np.arange(len(ba)))
+        fold = target._region_index(keys[:, 0], lo, ext)
+        return lo, ext, size, np.cumsum(size) - size, first, fold
+
+    return pc._layouts.cached(token, ba, build)
 
 
 def particle_to_mesh(
@@ -980,44 +1035,50 @@ def particle_to_mesh(
 ):
     """Deposit particle weights onto the mesh component (overwriting it).
 
-    Each tile deposits into a private buffer covering its region plus the
-    kernel radius; buffers fold into the fabs in tile order and ghost cells
-    fold across grids with a boundary sum.  With dual_grid the deposit
-    lands on a scratch FabArray over the particle layout first and is then
-    copied onto the mesh.
+    Each non-empty tile deposits into a private buffer covering its region
+    plus the kernel radius.  The buffers are segments of one flat array,
+    filled by one kernel call over the level's particles in sorted_keys()
+    order; one np.add.at then folds them into the arena buffer after
+    buffer in tile order, so every cell sees the additions a per-tile loop
+    would make.  Ghost cells fold across grids with a boundary sum.  With
+    dual_grid the deposit lands on a scratch FabArray over the particle
+    layout first and is then copied onto the mesh's valid cells, so the
+    mesh needs no ghost cells.
     """
     kernel = kernel.lower()
     radius = _KERNEL_RADIUS[kernel]
     if transport is None:
         transport = Transport(pc.nranks)
     geom = pc.geoms[level]
-    if mesh.ngrow < radius:
-        raise ParticleError(f"mesh ngrow {mesh.ngrow} < kernel radius {radius}")
     if dual_grid:
         target = FabArray(pc.bas[level], pc.dms[level], 1, ngrow=radius, dtype=mesh.dtype)
-        tcomp = 0
     else:
+        if mesh.ngrow < radius:
+            raise ParticleError(f"mesh ngrow {mesh.ngrow} < kernel radius {radius}")
         if mesh.ba != pc.bas[level]:
             raise ParticleError("mesh layout differs; deposit needs dual_grid=True")
-        target = mesh
-        tcomp = comp
-    target.setval(0.0, comp=tcomp, ghosts=True)
-    for key in pc.sorted_keys():
-        lev, g, t = key
-        if lev != level:
-            continue
-        tile = pc.tiles[key]
-        if tile.size == 0:
-            continue
+        target = mesh.component(comp)
+    target.setval(0.0)
+    keys, counts, pos = _level_particles(pc, level)
+    if keys:
         if weight is None:
-            w = np.ones(tile.size)
+            w = np.ones(pos.shape[0])
         else:
-            w = tile.rdata[int(weight)].astype(np.float64, copy=True)
-        bufbox = tile_box_of(pc.bas[level][g], pc.tile_size, t).grow(radius)
-        buf = np.zeros(tuple(bufbox.extents()), dtype=target.dtype)
-        _deposit_tile(geom, kernel, tile.aos["pos"], w, buf, bufbox)
-        target.fab(g).slice(bufbox, tcomp)[...] += buf
-    sum_boundary(target.component(tcomp), transport, geom.domain, geom.periodic)
+            w = np.concatenate([pc.tiles[k].rdata[int(weight)] for k in keys])
+        lo, ext, size, start, first, fold = _deposit_layout(pc, level, radius, target)
+        rows = first[[k[1] for k in keys]] + np.array([k[2] for k in keys], dtype=np.int64)
+        seg = np.cumsum(size[rows]) - size[rows]
+        buf = np.zeros(int(seg[-1] + size[rows[-1]]), dtype=target.dtype)
+        box = _per_particle(geom, counts, lo[rows], _c_strides(ext[rows]), seg)
+        plo, dxinv = _frame(geom)
+        if kernel == "cic":
+            kernels.deposit_cic(pos, w, plo, dxinv, box[0], buf, *box[1:])
+        else:
+            np.add.at(buf, _ngp_index(plo, dxinv, pos, *box), w)
+        if rows.shape[0] < size.shape[0]:  # some tiles are empty
+            fold = fold[_ranges(start[rows], size[rows])]
+        np.add.at(target.arena, fold, buf)
+    sum_boundary(target, transport, geom.domain, geom.periodic)
     if dual_grid:
         mesh_alias = mesh.component(comp)
         mesh_alias.setval(0.0)
@@ -1029,9 +1090,11 @@ def mesh_to_particle(
 ):
     """Interpolate the mesh component to every particle on the level.
 
-    Ghost cells are refreshed first so tile-local windows see their
-    neighbors.  Returns {(level, grid, tile): values}; out_comp also stores
-    the values into that extra-real component.
+    Ghost cells are refreshed first, then one kernel call gathers every
+    particle of the level straight from the arena, each through its own
+    grid's fab.  Returns {(level, grid, tile): values} over the non-empty
+    tiles, the values being slices of one array; out_comp also stores the
+    values into that extra-real component.
     """
     kernel = kernel.lower()
     radius = _KERNEL_RADIUS[kernel]
@@ -1041,34 +1104,31 @@ def mesh_to_particle(
     if dual_grid:
         src = FabArray(pc.bas[level], pc.dms[level], 1, ngrow=max(radius, 1), dtype=mesh.dtype)
         parallel_copy(src, mesh.component(comp), transport, geom.domain, geom.periodic)
-        scomp = 0
     else:
         if mesh.ngrow < radius:
             raise ParticleError(f"mesh ngrow {mesh.ngrow} < kernel radius {radius}")
         if mesh.ba != pc.bas[level]:
             raise ParticleError("mesh layout differs; gather needs dual_grid=True")
-        src = mesh
-        scomp = comp
-    fill_boundary(
-        src.component(scomp),
-        transport,
-        geom.domain,
-        geom.periodic,
+        src = mesh.component(comp)
+    fill_boundary(src, transport, geom.domain, geom.periodic)
+    keys, counts, pos = _level_particles(pc, level)
+    if not keys:
+        return {}
+    grids = np.array([k[1] for k in keys], dtype=np.int64)
+    box = _per_particle(
+        geom, counts, src.glo[grids], _c_strides(src.gext[grids]), src.offsets[grids]
     )
+    plo, dxinv = _frame(geom)
+    if kernel == "cic":
+        vals = kernels.gather_cic(pos, plo, dxinv, box[0], src.arena, *box[1:])
+    else:
+        vals = src.arena[_ngp_index(plo, dxinv, pos, *box)]
     out = {}
-    for key in pc.sorted_keys():
-        lev, g, t = key
-        if lev != level:
-            continue
-        tile = pc.tiles[key]
-        if tile.size == 0:
-            continue
-        fab = src.fab(g)
-        grid = fab.data[scomp]
-        vals = _gather_tile(geom, kernel, tile.aos["pos"], grid, fab.gbox)
-        out[key] = vals
+    ends = np.cumsum(counts).tolist()
+    for key, a, b in zip(keys, [0] + ends[:-1], ends):
+        out[key] = vals[a:b]
         if out_comp is not None:
-            tile.rdata[int(out_comp)] = vals
+            pc.tiles[key].rdata[int(out_comp)] = vals[a:b]
     return out
 
 

@@ -1,5 +1,6 @@
 """Kernels against direct references: an O(n^2) pair search, a per-particle
-deposit loop, and linear fields that CIC must reproduce."""
+deposit loop, linear fields that CIC must reproduce, and box-local calls
+that the batched CIC form must reproduce."""
 
 import numpy as np
 import pytest
@@ -107,3 +108,39 @@ def test_gather_cic_reproduces_linear_field(rng, dim):
     got = gather_cic(pos, np.zeros(dim), dxinv, arr_lo, grid)
     assert np.array_equal(got, pos @ coef + 0.25)
     assert gather_cic(np.empty((0, dim)), np.zeros(dim), dxinv, arr_lo, grid).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batched_form_matches_box_local_calls(rng, dim):
+    # boxes of different shapes and places, one without particles, laid
+    # out as segments of one flat array
+    plo, dxinv = np.full(dim, -0.5), np.full(dim, 4.0)
+    counts = np.array([37, 0, 12, 50])
+    lo = rng.integers(-6, 6, size=(4, dim))
+    ext = rng.integers(2, 7, size=(4, dim))
+    size = ext.prod(axis=1)
+    base = np.cumsum(size) - size
+    stride = np.ones_like(ext)
+    for d in reversed(range(dim - 1)):
+        stride[:, d] = stride[:, d + 1] * ext[:, d + 1]
+    pos, w, grids = [], [], []
+    for k, n in enumerate(counts):
+        # every stencil inside its box: cell units in [lo + 0.5, lo + ext - 0.5)
+        u = lo[k] + 0.5 + (ext[k] - 1) * rng.random((n, dim))
+        pos.append(plo + u / dxinv)
+        w.append(rng.standard_normal(n))
+        w[k][::5] = -0.0
+        grids.append(rng.standard_normal(tuple(ext[k])))
+    per = [np.repeat(a, counts, axis=0) for a in (lo, stride, base)]
+
+    flat = np.zeros(size.sum())
+    deposit_cic(np.concatenate(pos), np.concatenate(w), plo, dxinv, per[0], flat, *per[1:])
+    for k in range(len(counts)):
+        out = np.zeros(tuple(ext[k]))
+        deposit_cic(pos[k], w[k], plo, dxinv, lo[k], out)
+        assert flat[base[k] : base[k] + size[k]].tobytes() == out.tobytes()
+
+    arena = np.concatenate([g.ravel() for g in grids])
+    got = gather_cic(np.concatenate(pos), plo, dxinv, per[0], arena, *per[1:])
+    want = [gather_cic(pos[k], plo, dxinv, lo[k], grids[k]) for k in range(len(counts))]
+    assert got.tobytes() == np.concatenate(want).tobytes()

@@ -1,14 +1,24 @@
 """Particles: ownership, redistribution, halos, neighbor lists, scans, and
 particle-mesh transfer, each against an order-independent oracle."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from amrkit import counters
+from amrkit import counters, kernels
 from amrkit.amr_core import Geometry
 from amrkit.boxarray import BoxArray
 from amrkit.distribution import default_costs, sfc_distribute
-from amrkit.fabarray import FabArray, _periodic_shifts, gather_global
+from amrkit.fabarray import (
+    FabArray,
+    _periodic_shifts,
+    fill_boundary,
+    gather_global,
+    parallel_copy,
+    sum_boundary,
+)
+from amrkit.kernels import deposit_cic, gather_cic
 from amrkit.index_space import Box, IntVect
 from amrkit.particles import (
     ParticleContainer,
@@ -30,6 +40,8 @@ from amrkit.particles import (
     update_neighbors,
 )
 from amrkit.particles import (
+    _KERNEL_RADIUS,
+    _LayoutCache,
     _Packed,
     _aos_dtype,
     _cells_at,
@@ -339,7 +351,9 @@ class BruteForceRedistribute:
         counters.incr("particles_redistributed", moved)
 
 
-def _two_containers(rng, dim, nlevels, nranks, periodic, npart, tile=None):
+def _random_layouts(rng, dim, nlevels, nranks, periodic):
+    """Geometries, random covers and SFC maps of one or two levels; the
+    second level covers one refined box exactly."""
     n = 16 if dim < 3 else 8
     domain = Box(IntVect.zero(dim), IntVect([n - 1] * dim))
     geoms = [Geometry(domain, (0.0,) * dim, (1.0,) * dim, periodic)]
@@ -352,6 +366,11 @@ def _two_containers(rng, dim, nlevels, nranks, periodic, npart, tile=None):
         geoms.append(geoms[0].refine(2))
         bas.append(patch.refine(2))
     dms = [sfc_distribute(ba, default_costs(ba), nranks) for ba in bas]
+    return geoms, bas, dms
+
+
+def _two_containers(rng, dim, nlevels, nranks, periodic, npart, tile=None):
+    geoms, bas, dms = _random_layouts(rng, dim, nlevels, nranks, periodic)
     if tile is None:
         tile = int(rng.integers(2, 6))
     pcs = [
@@ -955,6 +974,274 @@ def test_dual_grid_deposit_matches_single_grid(rng):
     mesh2 = FabArray(pc2.bas[0], pc2.dms[0], 1, 1)
     particle_to_mesh(pc2, mesh2, kernel="cic", weight=0)
     assert np.allclose(got, gather_global(mesh2, domain), rtol=0, atol=1e-13)
+
+
+def test_dual_grid_transfer_needs_no_mesh_ghosts(rng):
+    # the dual-grid scratch FabArrays carry the kernel's ghost cells and
+    # only valid cells reach the mesh, so an ngrow=0 mesh gives the same
+    # valid cells as an ngrow=1 mesh; on the particle layout itself the
+    # mesh needs the ghosts
+    domain = Box(IntVect.zero(DIM), IntVect(15, 15))
+    geom = Geometry(domain, (0.0,) * DIM, (1.0,) * DIM, True)
+    mesh_ba = BoxArray([domain]).max_size(8)
+    part_ba = BoxArray([domain]).max_size(4)
+    dm_m = sfc_distribute(mesh_ba, default_costs(mesh_ba), 2)
+    dm_p = sfc_distribute(part_ba, default_costs(part_ba), 2)
+    pc = ParticleContainer([geom], [part_ba], [dm_p], nreal=1)
+    pc.add_particles(rng.random((300, DIM)), ids=np.arange(1, 301, dtype=np.int64))
+    redistribute(pc)
+    deposits, gathers = [], []
+    for ngrow in (0, 1):
+        mesh = FabArray(mesh_ba, dm_m, 1, ngrow)
+        particle_to_mesh(pc, mesh, dual_grid=True)
+        deposits.append(gather_global(mesh, domain))
+        vals = mesh_to_particle(pc, mesh, dual_grid=True)
+        gathers.append(np.concatenate([vals[k] for k in pc.sorted_keys()]))
+    assert deposits[0].tobytes() == deposits[1].tobytes()
+    assert deposits[0].sum() == pytest.approx(300.0)
+    assert gathers[0].tobytes() == gathers[1].tobytes()
+    with pytest.raises(ParticleError, match="kernel radius"):
+        particle_to_mesh(pc, FabArray(part_ba, dm_p, 1, 0))
+
+
+class TileLoopTransfer:
+    """The per-tile particle-mesh transfer: one kernel call per non-empty
+    tile, each deposit into a private buffer over the tile's region grown
+    by the kernel radius that is added into its fab, and each gather from
+    its grid's fab."""
+
+    @staticmethod
+    def _frame_lo(geom, box_lo):
+        return np.asarray(box_lo.coords, dtype=np.int64) - np.asarray(
+            geom.domain.lo.coords, dtype=np.int64
+        )
+
+    @classmethod
+    def _deposit_tile(cls, geom, kernel, pos, weights, buf, bufbox):
+        plo = np.asarray(geom.prob_lo)
+        dxinv = 1.0 / np.asarray(geom.cell_size)
+        arr_lo = cls._frame_lo(geom, bufbox.lo)
+        if kernel == "cic":
+            deposit_cic(pos, weights, plo, dxinv, arr_lo, buf)
+            return
+        cells = np.floor((pos - plo) * dxinv).astype(np.int64) - arr_lo
+        flat = buf.reshape(-1)
+        lin = np.zeros(pos.shape[0], dtype=np.int64)
+        for d in range(pos.shape[1]):
+            lin = lin * buf.shape[d] + cells[:, d]
+        np.add.at(flat, lin, weights)
+
+    @classmethod
+    def _gather_tile(cls, geom, kernel, pos, grid, gbox):
+        plo = np.asarray(geom.prob_lo)
+        dxinv = 1.0 / np.asarray(geom.cell_size)
+        arr_lo = cls._frame_lo(geom, gbox.lo)
+        if kernel == "cic":
+            return gather_cic(pos, plo, dxinv, arr_lo, grid)
+        cells = np.floor((pos - plo) * dxinv).astype(np.int64) - arr_lo
+        return grid[tuple(cells[:, d] for d in range(pos.shape[1]))]
+
+    @classmethod
+    def particle_to_mesh(
+        cls, pc, mesh, transport, kernel="cic", dual_grid=False, level=0, comp=0, weight=None
+    ):
+        radius = _KERNEL_RADIUS[kernel]
+        geom = pc.geoms[level]
+        if dual_grid:
+            target = FabArray(pc.bas[level], pc.dms[level], 1, ngrow=radius, dtype=mesh.dtype)
+            tcomp = 0
+        else:
+            target = mesh
+            tcomp = comp
+        target.setval(0.0, comp=tcomp, ghosts=True)
+        for key in pc.sorted_keys():
+            lev, g, t = key
+            if lev != level:
+                continue
+            tile = pc.tiles[key]
+            if tile.size == 0:
+                continue
+            if weight is None:
+                w = np.ones(tile.size)
+            else:
+                w = tile.rdata[int(weight)].astype(np.float64, copy=True)
+            bufbox = tile_box_of(pc.bas[level][g], pc.tile_size, t).grow(radius)
+            buf = np.zeros(tuple(bufbox.extents()), dtype=target.dtype)
+            cls._deposit_tile(geom, kernel, tile.aos["pos"], w, buf, bufbox)
+            target.fab(g).slice(bufbox, tcomp)[...] += buf
+        sum_boundary(target.component(tcomp), transport, geom.domain, geom.periodic)
+        if dual_grid:
+            mesh_alias = mesh.component(comp)
+            mesh_alias.setval(0.0)
+            parallel_copy(mesh_alias, target, transport, geom.domain, geom.periodic)
+
+    @classmethod
+    def mesh_to_particle(
+        cls, pc, mesh, transport, kernel="cic", dual_grid=False, level=0, comp=0, out_comp=None
+    ):
+        radius = _KERNEL_RADIUS[kernel]
+        geom = pc.geoms[level]
+        if dual_grid:
+            src = FabArray(pc.bas[level], pc.dms[level], 1, ngrow=max(radius, 1), dtype=mesh.dtype)
+            parallel_copy(src, mesh.component(comp), transport, geom.domain, geom.periodic)
+            scomp = 0
+        else:
+            src = mesh
+            scomp = comp
+        fill_boundary(src.component(scomp), transport, geom.domain, geom.periodic)
+        out = {}
+        for key in pc.sorted_keys():
+            lev, g, t = key
+            if lev != level:
+                continue
+            tile = pc.tiles[key]
+            if tile.size == 0:
+                continue
+            fab = src.fab(g)
+            vals = cls._gather_tile(geom, kernel, tile.aos["pos"], fab.data[scomp], fab.gbox)
+            out[key] = vals
+            if out_comp is not None:
+                tile.rdata[int(out_comp)] = vals
+        return out
+
+
+def _transfer_case(rng, dim, nranks):
+    """A one- or two-level container, sometimes empty, with uneven and
+    empty tiles, extras (weights with mixed signs and zeros of both signs,
+    gather output), and a random choice of level, ghost width and
+    component."""
+    nlevels = int(rng.integers(1, 3))
+    periodic = bool(rng.integers(2))
+    geoms, bas, dms = _random_layouts(rng, dim, nlevels, nranks, periodic)
+    tile = int(rng.integers(2, 5))
+    pc = ParticleContainer(geoms, bas, dms, nreal=2, tile_size=tile)
+    npart = int(rng.integers(20, 200)) if rng.random() < 0.9 else 0
+    w = rng.standard_normal(npart)
+    w[rng.random(npart) < 0.1] = -0.0
+    w[rng.random(npart) < 0.1] = 0.0
+    pc.add_particles(
+        rng.random((npart, dim)),
+        rdata=np.stack([w, np.zeros(npart)]),
+        ids=np.arange(1, npart + 1, dtype=np.int64),
+    )
+    case = {
+        "level": int(rng.integers(nlevels)),
+        "comp": int(rng.integers(3)),
+        "weight": None if rng.integers(2) else 0,
+        "ngrow": int(rng.integers(1, 3)),
+    }
+    return pc, case
+
+
+def _transfer_meshes(rng, pc, case, dual_grid):
+    """Two equal meshes with arbitrary starting values: on the particle
+    layout, or for dual_grid on another cover of the same region."""
+    ba = pc.bas[case["level"]]
+    if dual_grid:
+        b = ba.bounds()
+        region = Box(IntVect(b[:, 0].min(axis=0).tolist()), IntVect(b[:, 1].max(axis=0).tolist()))
+        ba = random_cover(rng, region, nsplits=int(rng.integers(1, 6)))
+        dm = sfc_distribute(ba, default_costs(ba), pc.nranks)
+    else:
+        dm = pc.dms[case["level"]]
+    meshes = [FabArray(ba, dm, 3, case["ngrow"]) for _ in range(2)]
+    meshes[0].arena[...] = meshes[1].arena[...] = rng.standard_normal(meshes[0].arena.shape)
+    return meshes
+
+
+def test_transfer_matches_tile_loop_reference(rng):
+    seen = set()
+    for nranks in (1, 2, 4, 8):
+        for dim in (1, 2, 3):
+            for kernel in ("cic", "ngp"):
+                for dual_grid in (False, True):
+                    pc, case = _transfer_case(rng, dim, nranks)
+                    level = case["level"]
+                    on_level = [k for k in pc.sorted_keys() if k[0] == level]
+                    got, want = _transfer_meshes(rng, pc, case, dual_grid)
+                    kw = dict(kernel=kernel, dual_grid=dual_grid, level=level, comp=case["comp"])
+                    gt = _traffic(
+                        particle_to_mesh, pc, got, Transport(nranks), weight=case["weight"], **kw
+                    )
+                    wt = _traffic(
+                        TileLoopTransfer.particle_to_mesh,
+                        pc, want, Transport(nranks), weight=case["weight"], **kw
+                    )
+                    assert got.arena.tobytes() == want.arena.tobytes()
+                    assert gt == wt
+                    # gather from arbitrary values, ghosts included
+                    got.arena[...] = want.arena[...] = rng.standard_normal(got.arena.shape)
+                    vg = mesh_to_particle(pc, got, Transport(nranks), out_comp=1, **kw)
+                    rows = {k: pc.tiles[k].rdata[1].tobytes() for k in pc.sorted_keys()}
+                    for k in on_level:
+                        pc.tiles[k].rdata[1] = np.nan
+                    vw = TileLoopTransfer.mesh_to_particle(
+                        pc, want, Transport(nranks), out_comp=1, **kw
+                    )
+                    assert list(vg) == list(vw)
+                    for key in vw:
+                        assert vg[key].tobytes() == vw[key].tobytes()
+                    assert rows == {k: pc.tiles[k].rdata[1].tobytes() for k in pc.sorted_keys()}
+                    assert got.arena.tobytes() == want.arena.tobytes()
+                    tiles, _ = pc.tile_layout(level)
+                    ext = tiles.bounds()[:, 1] - tiles.bounds()[:, 0] + 1
+                    seen |= {
+                        ("weight", case["weight"]),
+                        ("ngrow", case["ngrow"]),
+                        ("comp", case["comp"] > 0),
+                        ("level", level),
+                        ("empty tiles", len(vw) < len(tiles)),
+                        ("uneven tiles", bool((ext != pc.tile_size[0]).any())),
+                        ("gathered", bool(on_level)),
+                    }
+    assert seen == {
+        ("weight", None), ("weight", 0), ("ngrow", 1), ("ngrow", 2),
+        ("comp", False), ("comp", True), ("level", 0), ("level", 1),
+        ("empty tiles", False), ("empty tiles", True),
+        ("uneven tiles", False), ("uneven tiles", True),
+        ("gathered", False), ("gathered", True),
+    }
+
+
+def test_transfer_calls_each_kernel_once_per_level(monkeypatch):
+    # the particle-pic layout: 8 grids of 16^3 in 8^3 tiles, 4 ranks
+    domain = Box(IntVect.zero(3), IntVect(31, 31, 31))
+    geom = Geometry(domain, (0.0,) * 3, (1.0,) * 3, True)
+    ba = BoxArray([domain]).max_size(16)
+    dm = sfc_distribute(ba, default_costs(ba), 4)
+    pc = ParticleContainer([geom], [ba], [dm], tile_size=8)
+    pc.add_particles(
+        np.random.default_rng(1).random((4096, 3)),
+        ids=np.arange(1, 4097, dtype=np.int64),
+    )
+    redistribute(pc, Transport(4))
+    assert len(pc.tiles) == 64
+    calls = {"deposit_cic": 0, "gather_cic": 0}
+    for name in calls:
+        fn = getattr(kernels, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(kernels, name, counted)
+    mesh = FabArray(ba, dm, 1, 1)
+    particle_to_mesh(pc, mesh, Transport(4))
+    assert calls == {"deposit_cic": 1, "gather_cic": 0}
+    mesh_to_particle(pc, mesh, Transport(4))
+    assert calls == {"deposit_cic": 1, "gather_cic": 1}
+
+
+def test_layout_cache_entries_go_with_their_layout():
+    cache = _LayoutCache()
+    ba = BoxArray([Box(IntVect(0, 0), IntVect(3, 3))])
+    other = BoxArray([Box(IntVect(0, 0), IntVect(3, 3))])
+    cache.cached((0, ba.uid), ba, lambda: "a")
+    cache.cached((0, other.uid), other, lambda: "b")
+    assert cache.cached((0, ba.uid), ba, lambda: "rebuilt") == "a"
+    del ba
+    gc.collect()
+    assert cache == {(0, other.uid): "b"}
 
 
 def test_keyed_uniforms_order_independent():
