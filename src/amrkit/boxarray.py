@@ -13,8 +13,9 @@ array of lo/hi corners built on first use, and the hash is built from it in
 numpy.  ``intersections`` also takes an ``(M, 2, D)`` array of query boxes
 and answers them all at once: bin keys are computed in numpy, looked up in
 the hash's sorted key array and the overlaps cut in one pass, so a batch
-makes no per-query Python objects.  ``owners_at`` is its point form
-(lo == hi), and ``validate`` one uncounted self-query.
+makes no per-query Python objects.  ``owners_at`` answers points in the
+same hash, one bin per point, and ``validate`` is one uncounted
+self-query.
 
 Layouts are immutable and identified by a process-unique uid, so caches
 key derived data (communication plans, coarsened layouts) on uids.
@@ -253,21 +254,13 @@ class BoxArray:
     def owners_at(self, cells):
         """Index of the box containing each row of an (n, D) int array, or -1.
 
-        The point form of the batch query: each point examines exactly one
-        hash bin.  Where boxes share faces (nodal layouts), the lowest
-        containing index wins.
+        Each point examines exactly one hash bin.  Where boxes share faces
+        (nodal layouts), the lowest containing index wins.
         """
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, self.dim)
-        out = np.full(cells.shape[0], -1, dtype=np.int64)
         if not self.boxes or not cells.shape[0]:
-            return out
-        cells = np.ascontiguousarray(cells.T)
-        query, box = self._get_hash().meeting(cells, cells)
-        # hits come sorted by query then box: a query's first is its lowest
-        first = np.ones(query.shape[0], dtype=bool)
-        first[1:] = query[1:] != query[:-1]
-        out[query[first]] = box[first]
-        return out
+            return np.full(cells.shape[0], -1, dtype=np.int64)
+        return self._get_hash().owners(np.ascontiguousarray(cells.T))
 
     def owner_at(self, p):
         """Box index containing point p, or None; examines exactly one bin."""
@@ -417,3 +410,32 @@ class BoxHash:
             meets &= (lo[d][query] <= self.bounds[box, 1, d])
             meets &= (hi[d][query] >= self.bounds[box, 0, d])
         return query[meets], box[meets]
+
+    def owners(self, cells):
+        """Lowest index of a box containing each point of the (D, n) array
+        cells, or -1.  A point looks up its one bin (key, searchsorted) and
+        tests that bin's members; it counts once in hash_queries and once
+        in hash_bins_examined, as a one-cell query of meeting does."""
+        n = cells.shape[1]
+        counters.incr("hash_bins_examined", n)
+        counters.incr("hash_queries", n)
+        k = (cells - self.origin[:, None]) // self.size[:, None]
+        on = ((k >= 0) & (k < self.shape[:, None])).all(axis=0)
+        key = np.ravel_multi_index(np.where(on, k, 0), self.shape)
+        slot = np.minimum(np.searchsorted(self.keys, key), self.keys.shape[0] - 1)
+        point = np.flatnonzero(on & (self.keys[slot] == key))
+        first = self.starts[slot[point]]
+        m = self.starts[slot[point] + 1] - first
+        point = np.repeat(point, m)
+        # each point's bin members, ascending box index
+        box = self.members[np.repeat(first - (np.cumsum(m) - m), m) + np.arange(point.shape[0])]
+        inside = np.ones(point.shape[0], dtype=bool)
+        for d, (lo, hi) in enumerate(self.bounds.T):
+            c = cells[d][point]
+            inside &= (c >= lo[box]) & (c <= hi[box])
+        point, box = point[inside], box[inside]
+        lowest = np.ones(point.shape[0], dtype=bool)
+        lowest[1:] = point[1:] != point[:-1]
+        out = np.full(n, -1, dtype=np.int64)
+        out[point[lowest]] = box[lowest]
+        return out

@@ -158,9 +158,6 @@ class IndexType:
     def is_cell(self):
         return not any(self.nodal)
 
-    def is_node(self):
-        return all(self.nodal)
-
     def __getitem__(self, d):
         return self.nodal[d]
 

@@ -23,6 +23,12 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
+def _c_strides(ext):
+    """C-order element strides of boxes with extents ext, (n, D)."""
+    ones = np.ones((ext.shape[0], 1), dtype=np.int64)
+    return np.concatenate([np.cumprod(ext[:, :0:-1], axis=1)[:, ::-1], ones], axis=1)
+
+
 def _stencil(pos, plo, dxinv, arr_lo, shape, stride, base):
     """Flat index of the 2**D cell centers bracketing each particle, (n,
     2**D) in corner order (bit D-1-d of the corner selects the upper
@@ -92,14 +98,16 @@ def gather_cic(pos, plo, dxinv, arr_lo, grid, stride=None, base=None):
 # ---------------------------------------------------------------------------
 
 
-def _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2):
+def _pairs_numpy(pos, cell, order, bin_start, nbins, strides, base, cutoff2):
     """Unsorted (i < j) pairs within sqrt(cutoff2) from the 3**D bins around
     each particle.  A half stencil visits every unordered pair of bins once:
     the own bin, keeping i < j, and the (3**D - 1) / 2 forward offsets, those
     whose first nonzero component is positive, ordering each pair as
     (min, max).  One pass per offset handles every bin at once: each
     particle in a bin is paired with the whole neighbour bin's slice of
-    order."""
+    order.  Bin b holds order[bin_start[b]:bin_start[b + 1]]; nbins,
+    strides and base are per particle: its segment's bin lattice, C
+    strides and first bin."""
     dim = pos.shape[1]
     out = []
     offsets = np.stack(
@@ -110,8 +118,9 @@ def _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2
         nc = cell + off
         inside = np.all((nc >= 0) & (nc < nbins), axis=1)
         src = np.nonzero(inside)[0]
-        nb = nc[src] @ strides
-        cnt = bin_count[nb]
+        nb = base[src] + (nc[src] * strides[src]).sum(axis=1)
+        first_slot = bin_start[nb]
+        cnt = bin_start[nb + 1] - first_slot
         total = int(cnt.sum())
         if total == 0:
             continue
@@ -119,7 +128,7 @@ def _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2
         first = np.cumsum(cnt) - cnt
         within = np.arange(total, dtype=np.int64) - np.repeat(first, cnt)
         gi = np.repeat(src, cnt)
-        gj = order[np.repeat(bin_start[nb], cnt) + within]
+        gj = order[np.repeat(first_slot, cnt) + within]
         if off.any():
             gi, gj = np.minimum(gi, gj), np.maximum(gi, gj)
         else:
@@ -137,33 +146,40 @@ def _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2
     return np.concatenate(out, axis=0).astype(np.int64, copy=False)
 
 
-def neighbor_pairs(pos, lo, hi, cutoff, max_dist=None):
+def neighbor_pairs(pos, lo, hi, cutoff, max_dist=None, segment=None):
     """All index pairs (i < j) with |pos_i - pos_j| <= cutoff, sorted by (i, j).
 
     Particles are binned into boxes of side cutoff spanning [lo, hi); only
     the 3**D surrounding bins of each particle are searched.  Passing
     max_dist=inf returns every candidate pair from those bins unfiltered,
-    for callers that apply their own acceptance test.
+    for callers that apply their own acceptance test.  With segment, an
+    (n,) array of segment ids, lo and hi hold one row per segment: the
+    segment is the leading bin key, each segment is binned over its own
+    [lo, hi), and only particles of one segment pair up, so one call does
+    the work of one call per segment.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     n, dim = pos.shape
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
+    lo = np.asarray(lo, dtype=np.float64).reshape(-1, dim)
+    hi = np.asarray(hi, dtype=np.float64).reshape(-1, dim)
+    if segment is None:
+        segment = np.zeros(n, dtype=np.int64)
+    seg = np.asarray(segment, dtype=np.int64)
     nbins = np.maximum(((hi - lo) / cutoff).astype(np.int64), 1)
-    cell = np.minimum(((pos - lo) / cutoff).astype(np.int64), nbins - 1)
+    strides = _c_strides(nbins)
+    size = nbins.prod(axis=1)
+    base = np.cumsum(size) - size
+    nbins, strides, base = nbins[seg], strides[seg], base[seg]
+    cell = np.minimum(((pos - lo[seg]) / cutoff).astype(np.int64), nbins - 1)
     cell = np.maximum(cell, 0)
-    strides = np.empty(dim, dtype=np.int64)
-    s = 1
-    for d in range(dim - 1, -1, -1):
-        strides[d] = s
-        s *= int(nbins[d])
-    lin = cell @ strides
+    lin = base + (cell * strides).sum(axis=1)
     order = np.argsort(lin, kind="stable").astype(np.int64)
-    bin_count = np.bincount(lin, minlength=s).astype(np.int64)
-    bin_start = np.concatenate([[0], np.cumsum(bin_count)[:-1]]).astype(np.int64)
+    nb = int(size.sum())
+    bin_start = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lin, minlength=nb), out=bin_start[1:])
     reach = float(cutoff) if max_dist is None else float(max_dist)
     cutoff2 = reach * reach
-    pairs = _pairs_numpy(pos, cell, order, bin_start, bin_count, nbins, strides, cutoff2)
+    pairs = _pairs_numpy(pos, cell, order, bin_start, nbins, strides, base, cutoff2)
     if pairs.shape[0]:
         key = np.lexsort((pairs[:, 1], pairs[:, 0]))
         pairs = pairs[key]

@@ -8,12 +8,16 @@ Conventions pinned here:
     over ranks); a negative id marks a particle for removal at the next
     redistribute.
   * Tiles are fixed index-space sub-boxes anchored at each grid's lo corner,
-    so a particle's tile follows from its cell alone.  Tiles are separate
-    storage, not views: each holds its own particle-major record array and
-    component-major extras.
-  * Every tile is kept sorted by id.  Arrival order during exchanges then
-    never leaks into storage order, which makes every pass over the tiles
-    in key order (deposition included) independent of the rank count.
+    so a particle's tile follows from its cell alone.
+  * A container keeps every particle in one store: a particle-major record
+    array plus component-major extras, rows sorted by (level, grid, tile,
+    id), with the non-empty tiles' keys and CSR row offsets.  Each level's
+    particles are one run of rows and each tile's one run inside it.  A
+    tile in ``pc.tiles`` is views of its rows, so writes into a tile are
+    writes into the store.
+  * Sorting by id inside a tile keeps arrival order from leaking into
+    storage order, which makes every pass over the store (deposition
+    included) independent of the rank count.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import weakref
 import numpy as np
 
 from . import counters, kernels
+from .kernels import _c_strides
 from .boxarray import BoxArray, on_free
 from .fabarray import (
     FabArray,
@@ -92,43 +97,36 @@ def _exchange(transport, outbox, tag):
 
 
 class ParticleTile:
-    """Storage for one (level, grid, tile) bucket.
+    """One (level, grid, tile) bucket: views of its rows of the container's
+    store.
 
-    Particle-major records (pos, id, origin) live in one structured array;
-    schema-declared extras live in component-major rows alongside, always
-    index-aligned with the records.
+    Particle-major records (pos, id, origin) and the component-major
+    extras are slices of the store's arrays; write into them, do not
+    rebind them.
     """
 
-    __slots__ = ("aos", "rdata", "idata")
+    __slots__ = ("aos", "rdata", "idata", "_pc", "_key", "_at")
 
-    def __init__(self, dim, nreal, nint, n=0):
-        self.aos = np.zeros(n, dtype=_aos_dtype(dim))
-        self.rdata = np.zeros((nreal, n))
-        self.idata = np.zeros((nint, n), dtype=np.int64)
+    def __init__(self, pc, key, a, b):
+        # a weak reference, so a container and its tiles form no cycle
+        self._pc, self._key, self._at = weakref.ref(pc), key, a
+        self.aos = pc.aos[a:b]
+        self.rdata = pc.rdata[:, a:b]
+        self.idata = pc.idata[:, a:b]
 
     @property
     def size(self):
         return self.aos.shape[0]
 
     def keep(self, mask):
-        self.aos = self.aos[mask]
-        self.rdata = self.rdata[:, mask]
-        self.idata = self.idata[:, mask]
-
-    def extend(self, aos, rdata, idata):
-        self.aos = np.concatenate([self.aos, aos])
-        self.rdata = np.concatenate([self.rdata, rdata], axis=1)
-        self.idata = np.concatenate([self.idata, idata], axis=1)
-
-    def sort_by_id(self):
-        order = np.argsort(self.aos["id"], kind="stable")
-        self.aos = self.aos[order]
-        self.rdata = self.rdata[:, order]
-        self.idata = self.idata[:, order]
-
-    def take(self, sel):
-        """Copies of the records and extras at the selected indices."""
-        return self.aos[sel].copy(), self.rdata[:, sel].copy(), self.idata[:, sel].copy()
+        """Remove the rows where mask is False from the store; the tile
+        then views the rows it kept."""
+        pc = self._pc()
+        rows = np.ones(pc.aos.shape[0], dtype=bool)
+        rows[self._at : self._at + self.size] = mask
+        _store_rows(pc, pc.aos, pc.rdata, pc.idata, pc._row_keys(), np.flatnonzero(rows))
+        t = pc.tiles.get(self._key) or ParticleTile(pc, self._key, 0, 0)
+        self.aos, self.rdata, self.idata, self._at = t.aos, t.rdata, t.idata, t._at
 
 
 def _tile_counts(box, tsz):
@@ -142,13 +140,12 @@ def _tile_ids(pc, levels, grids, cells):
     tids = np.zeros(cells.shape[0], dtype=np.int64)
     for lev in range(pc.nlevels):
         sel = np.flatnonzero(levels == lev)
-        b = pc.bas[lev].bounds()[grids[sel]]
-        lo = b[:, 0]
-        counts = (b[:, 1] - lo + tsz) // tsz
-        t = (cells[sel] - lo) // tsz
+        b = pc.bas[lev].bounds()
+        counts = (b[:, 1] - b[:, 0] + tsz) // tsz  # per grid
+        g, c = grids[sel], cells[sel]
         lin = np.zeros(sel.shape[0], dtype=np.int64)
         for d in range(pc.dim):
-            lin = lin * counts[:, d] + t[:, d]
+            lin = lin * counts[g, d] + (c[:, d] - b[g, 0, d]) // tsz[d]
         tids[sel] = lin
     return tids
 
@@ -164,6 +161,13 @@ def _runs(*keys):
     starts = np.concatenate([[0], np.flatnonzero(change) + 1])
     ends = np.concatenate([starts[1:], [n]])
     return starts.tolist(), ends.tolist()
+
+
+def _codes(*keys):
+    """Order-preserving int codes of the (level, grid, tile) rows of each
+    (n, 3) array, comparable across the arrays."""
+    dims = np.max([k.max(axis=0, initial=0) for k in keys], axis=0) + 1
+    return [np.ravel_multi_index(k.T, dims) for k in keys]
 
 
 def tile_box_of(box, tsz, tid):
@@ -218,9 +222,10 @@ class ParticleContainer:
     """Per-level particle storage over (BoxArray, DistributionMapping) pairs.
 
     The layouts may differ from any mesh's layouts (dual grid); transfer ops
-    bridge the two with temporary FabArrays.  Like FabArray, the container
-    holds every rank's tiles in-process; ownership is the distribution map's
-    say, and cross-rank motion runs through a Transport.
+    bridge the two with temporary FabArrays.  Like FabArray's arena, one
+    store holds every rank's particles in-process (see the module notes);
+    ownership is the distribution map's say, and cross-rank motion runs
+    through a Transport.
     """
 
     def __init__(self, geoms, bas, dms, nreal=0, nint=0, tile_size=None):
@@ -241,10 +246,16 @@ class ParticleContainer:
         self.tile_size = tile_size
         self.nreal = int(nreal)
         self.nint = int(nint)
-        self.tiles = {}
         self.epoch = 0
         self._next = [0] * self.nranks
         self._layouts = _LayoutCache()
+        self._set_rows(
+            np.zeros(0, dtype=_aos_dtype(dim)),
+            np.zeros((self.nreal, 0)),
+            np.zeros((self.nint, 0), dtype=np.int64),
+            np.zeros((0, 3), dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+        )
 
     @property
     def dim(self):
@@ -259,31 +270,36 @@ class ParticleContainer:
         self._next[origin_rank] += n
         return (base + np.arange(n, dtype=np.int64)) * self.nranks + origin_rank + 1
 
-    def tile(self, level, grid, tid, create=False):
-        key = (int(level), int(grid), int(tid))
-        t = self.tiles.get(key)
-        if t is None and create:
-            t = ParticleTile(self.dim, self.nreal, self.nint)
-            self.tiles[key] = t
-        return t
+    def _set_rows(self, aos, rdata, idata, keys, starts):
+        """Make these rows the store.  They come sorted by tile key and by
+        id within a tile; keys (T, 3) holds the non-empty tiles' (level,
+        grid, tile) and starts (T + 1) their CSR row offsets."""
+        self.aos, self.rdata, self.idata = aos, rdata, idata
+        self.keys, self.starts = keys, starts
+        bounds = starts.tolist()
+        self.tiles = {
+            k: ParticleTile(self, k, a, b)
+            for k, a, b in zip(map(tuple, keys.tolist()), bounds, bounds[1:])
+        }
+
+    def _row_keys(self):
+        """(level, grid, tile) of every store row, (n, 3)."""
+        return np.repeat(self.keys, np.diff(self.starts), axis=0)
 
     def sorted_keys(self):
         return sorted(self.tiles)
 
     def total_valid(self):
-        return sum(int((t.aos["id"] > 0).sum()) for t in self.tiles.values())
+        return int((self.aos["id"] > 0).sum())
 
     def all_ids(self):
-        parts = [t.aos["id"] for t in self.tiles.values()] or [np.empty(0, np.int64)]
-        return np.sort(np.concatenate(parts))
+        return np.sort(self.aos["id"])
 
     def id_positions(self):
         """Mapping id -> position tuple over every stored particle."""
-        out = {}
-        for t in self.tiles.values():
-            for rec in t.aos:
-                out[int(rec["id"])] = tuple(float(x) for x in rec["pos"])
-        return out
+        return {
+            i: tuple(p) for i, p in zip(self.aos["id"].tolist(), self.aos["pos"].tolist())
+        }
 
     def tile_layout(self, level):
         """BoxArray of every tile region on a level, and its (grid, tile)
@@ -321,19 +337,37 @@ class ParticleContainer:
         )
         levels, grids, cells, wrapped = _locate_arrays(self, pos, ids)
         aos["pos"] = wrapped
-        _scatter(self, aos, rdata, idata, levels, grids, cells)
+        key = np.column_stack([levels, grids, _tile_ids(self, levels, grids, cells)])
+        _store_rows(
+            self,
+            _concat_records([self.aos, aos]),
+            np.concatenate([self.rdata, rdata], axis=1),
+            np.concatenate([self.idata, idata], axis=1),
+            np.concatenate([self._row_keys(), key]),
+            np.arange(self.aos.shape[0] + n),
+        )
         self.epoch += 1
 
 
-def _scatter(pc, aos, rdata, idata, levels, grids, cells):
-    tids = _tile_ids(pc, levels, grids, cells)
-    order = np.lexsort((tids, grids, levels))
-    levels, grids, tids = levels[order], grids[order], tids[order]
-    for i, j in zip(*_runs(levels, grids, tids)):
-        sel = order[i:j]
-        tile = pc.tile(levels[i], grids[i], tids[i], create=True)
-        tile.extend(aos[sel], rdata[:, sel], idata[:, sel])
-        tile.sort_by_id()
+def _store_rows(pc, aos, rdata, idata, key, rows):
+    """Make the given rows of these columns the store, in (level, grid,
+    tile, id) order (key holds each row's level, grid and tile); rows
+    that tie keep their order in rows."""
+    (code,) = _codes(key[rows])
+    order = np.lexsort((aos["id"][rows], code))
+    first = np.flatnonzero(np.diff(code[order], prepend=-1))
+    order = rows[order]
+    pc._set_rows(
+        np.take(aos, order), rdata[:, order], idata[:, order],
+        key[order[first]], np.append(first, order.shape[0]),
+    )
+
+
+def _concat_records(parts):
+    """np.concatenate of record arrays of one dtype, read as raw records:
+    numpy would otherwise promote the fields of every array."""
+    raw = np.dtype((np.void, parts[0].dtype.itemsize))
+    return np.concatenate([p.view(raw) for p in parts]).view(parts[0].dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -406,28 +440,36 @@ def locate(pc, pos):
     return int(levels[0]), int(grids[0]), IntVect(cells[0])
 
 
-def _stored_keys(keys, sizes):
-    """Per-row (level, grid, tile) columns of tiles stored back to back."""
-    k = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    return tuple(np.repeat(k[:, c], sizes) for c in range(3))
-
-
 def check_locations(pc):
     """Violations of `stored bucket == locate result` over every particle,
     as (id, stored key, located key) in stored order."""
-    keys = [k for k in pc.sorted_keys() if pc.tiles[k].size]
-    if not keys:
+    if not pc.aos.shape[0]:
         return []
-    tiles = [pc.tiles[k] for k in keys]
-    ids = np.concatenate([t.aos["id"] for t in tiles])
-    levels, grids, cells, _ = _locate_arrays(
-        pc, np.concatenate([t.aos["pos"] for t in tiles]), ids
-    )
+    ids = pc.aos["id"]
+    levels, grids, cells, _ = _locate_arrays(pc, pc.aos["pos"], ids)
     tids = _tile_ids(pc, levels, grids, cells)
-    slev, sgrid, stid = _stored_keys(keys, [t.size for t in tiles])
+    slev, sgrid, stid = pc._row_keys().T
     bad = np.flatnonzero((levels != slev) | (grids != sgrid) | (tids != stid))
     cols = (ids, slev, sgrid, stid, levels, grids, tids)
     return [(r[0], r[1:4], r[4:]) for r in zip(*(c[bad].tolist() for c in cols))]
+
+
+def _tile_bounds(pc, level, grids, tids):
+    """(n, 2, D) lo/hi corners of the tiles (grids[i], tids[i]) on a level."""
+    layout, keys = pc.tile_layout(level)
+    return layout.bounds()[np.searchsorted(keys[:, 0], grids) + tids]
+
+
+def _outside_tiles(pc, key, pos, grow):
+    """Per row: whether the cell at pos lies outside the region, grown by
+    grow cells, of the tile key names (level, grid, tile)."""
+    out = np.zeros(key.shape[0], dtype=bool)
+    for lev in range(pc.nlevels):
+        sel = np.flatnonzero(key[:, 0] == lev)
+        b = _tile_bounds(pc, lev, key[sel, 1], key[sel, 2])
+        cells = _cells_at(pc.geoms[lev], pos[sel])
+        out[sel] = ((cells < b[:, 0] - grow) | (cells > b[:, 1] + grow)).any(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,122 +496,79 @@ def redistribute(pc, transport=None, mode="global", k=None, subcycle=None):
     finish sorted by id, so the outcome is one canonical container no
     matter how many ranks took part.
 
-    Every particle to place is located in one batch; movers travel as one
-    block per (source tile, destination tile), in one message per rank
-    pair.  A position no level covers raises before any particle moves.
+    The store is located in one batch.  Movers to another rank travel as
+    one block per (source tile, destination tile), sliced from one
+    gathered array, in one message per rank pair; a position no level
+    covers raises before any particle moves.  One stable sort then
+    rebuilds the store from the stayers, the movers that stayed on their
+    rank and the arrivals, in that order, so repeated ids inside a tile
+    keep that order.
     """
     if mode not in ("local", "global"):
         raise ValueError("mode must be 'local' or 'global'")
     if transport is None:
         transport = Transport(pc.nranks)
+    aos = pc.aos
+    key = pc._row_keys()
+    valid = aos["id"] > 0
     if mode == "local":
         kk = _default_local_k(pc) if k is None else int(k)
-        violations = []
-        for key in pc.sorted_keys():
-            lev, g, t = key
-            tile = pc.tiles[key]
-            valid = tile.aos["id"] > 0
-            if not valid.any():
-                continue
-            cells = _cells_at(pc.geoms[lev], tile.aos["pos"][valid])
-            tbox = tile_box_of(pc.bas[lev][g], pc.tile_size, t).grow(kk)
-            ok = np.ones(cells.shape[0], dtype=bool)
-            for d in range(pc.dim):
-                ok &= (cells[:, d] >= tbox.lo[d]) & (cells[:, d] <= tbox.hi[d])
-            if not ok.all():
-                violations.extend(tile.aos["id"][valid][~ok].tolist())
-        if violations:
-            raise ParticleError("local-mode displacement bound exceeded", violations)
+        bad = valid & _outside_tiles(pc, key, aos["pos"], kk)
+        if bad.any():
+            raise ParticleError("local-mode displacement bound exceeded", aos["id"][bad])
 
-    sub_levels = set()
-    band = 0
+    place = valid.copy()  # the rows to locate
     if subcycle is not None:
-        sub_levels = set(int(x) for x in subcycle["levels"])
         band = int(subcycle.get("band", 0))
-
+        sub = np.flatnonzero(valid & np.isin(key[:, 0], [int(x) for x in subcycle["levels"]]))
+        place[sub] = _outside_tiles(pc, key[sub], aos["pos"][sub], band)
+    rows = np.flatnonzero(place)
     pc.epoch += 1
-    # drop removed particles and empty tiles, and pick the rows to locate
-    keys, tiles, rows = [], [], []
-    for key in pc.sorted_keys():
-        lev, g, t = key
-        tile = pc.tiles[key]
-        valid = tile.aos["id"] > 0
-        if not valid.all():
-            tile.keep(valid)
-        if tile.size == 0:
-            del pc.tiles[key]
-            continue
-        idx = np.arange(tile.size)
-        if lev in sub_levels:
-            cells = _cells_at(pc.geoms[lev], tile.aos["pos"])
-            tbox = tile_box_of(pc.bas[lev][g], pc.tile_size, t).grow(band)
-            stay = np.ones(tile.size, dtype=bool)
-            for d in range(pc.dim):
-                stay &= (cells[:, d] >= tbox.lo[d]) & (cells[:, d] <= tbox.hi[d])
-            idx = idx[~stay]
-            if idx.size == 0:
-                continue
-        keys.append(key)
-        tiles.append(tile)
-        rows.append(idx)
-
+    levels, grids, cells, wrapped = _locate_arrays(pc, aos["pos"][rows], aos["id"][rows])
+    aos["pos"][rows] = wrapped
+    dest = key.copy()
+    tids = _tile_ids(pc, levels, grids, cells)
+    dest[rows] = np.column_stack([levels, grids, tids])
+    was = key[rows]
+    moving = rows[(levels != was[:, 0]) | (grids != was[:, 1]) | (tids != was[:, 2])]
+    if not moving.shape[0] and valid.all():
+        return
+    src_rank = _ranks(pc, key[moving, 0], key[moving, 1])
+    dst_rank = _ranks(pc, dest[moving, 0], dest[moving, 1])
+    far = src_rank != dst_rank
+    remote = moving[far]
+    # one block per (source tile, destination tile); stable, so rows keep
+    # their store order inside a block
+    tile = np.searchsorted(pc.starts, remote, side="right")
+    order = np.lexsort((dest[remote, 2], dest[remote, 1], dest[remote, 0], tile))
+    out_rows, tile = remote[order], tile[order]
+    pair = np.column_stack([src_rank, dst_rank])[far][order]
+    m_aos, m_r, m_i = np.take(aos, out_rows), pc.rdata[:, out_rows], pc.idata[:, out_rows]
+    d = dest[out_rows]
+    starts, ends = _runs(tile, d[:, 0], d[:, 1], d[:, 2])
     outbox = {}
-    arrivals = []
-    moved = 0
-    if keys:
-        sizes = [r.size for r in rows]
-        levels, grids, cells, wrapped = _locate_arrays(
-            pc,
-            np.concatenate([t.aos["pos"][r] for t, r in zip(tiles, rows)]),
-            np.concatenate([t.aos["id"][r] for t, r in zip(tiles, rows)]),
-        )
-        offsets = np.cumsum([0] + sizes).tolist()
-        for tile, r, a, b in zip(tiles, rows, offsets, offsets[1:]):
-            tile.aos["pos"][r] = wrapped[a:b]
-        tids = _tile_ids(pc, levels, grids, cells)
-        slev, sgrid, stid = _stored_keys(keys, sizes)
-        moving = np.flatnonzero((levels != slev) | (grids != sgrid) | (tids != stid))
-        moved = moving.size
-        src = np.repeat(np.arange(len(keys)), sizes)[moving]
-        row = np.concatenate(rows)[moving]
-        mlev, mgrid, mtid = levels[moving], grids[moving], tids[moving]
-        # stable: rows keep their tile order inside each (source, destination)
-        # block, which is the arrival order sort_by_id sees for repeated ids
-        order = np.lexsort((mtid, mgrid, mlev, src))
-        src, row, mlev, mgrid, mtid = (a[order] for a in (src, row, mlev, mgrid, mtid))
-        for i, j in zip(*_runs(src, mlev, mgrid, mtid)):
-            lev, g, _ = keys[src[i]]
-            dkey = (int(mlev[i]), int(mgrid[i]), int(mtid[i]))
-            entry = (dkey,) + tiles[src[i]].take(row[i:j])
-            src_rank = pc.dms[lev][g]
-            dst_rank = pc.dms[dkey[0]][dkey[1]]
-            if dst_rank == src_rank:
-                arrivals.append(entry)
-            else:
-                outbox.setdefault((src_rank, dst_rank), _Packed()).append(entry)
-        for i, j in zip(*_runs(src)):
-            tile = tiles[src[i]]
-            keep = np.ones(tile.size, dtype=bool)
-            keep[row[i:j]] = False
-            tile.keep(keep)
-            if tile.size == 0:
-                del pc.tiles[keys[src[i]]]
+    for i, j, dkey, ranks in zip(starts, ends, d[starts].tolist(), pair[starts].tolist()):
+        entry = (tuple(dkey), m_aos[i:j], m_r[:, i:j], m_i[:, i:j])
+        outbox.setdefault(tuple(ranks), _Packed()).append(entry)
+    arrived = _exchange(transport, outbox, "redistribute")
 
-    arrivals.extend(_exchange(transport, outbox, "redistribute"))
-
-    grouped = {}
-    for dkey, aos, rdata, idata in arrivals:
-        grouped.setdefault(dkey, []).append((aos, rdata, idata))
-    for dkey in sorted(grouped):
-        parts = grouped[dkey]
-        tile = pc.tile(*dkey, create=True)
-        tile.extend(
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts], axis=1),
-            np.concatenate([p[2] for p in parts], axis=1),
+    n = aos.shape[0]
+    cols = (aos, pc.rdata, pc.idata, dest)
+    if arrived:
+        sizes = [e[1].shape[0] for e in arrived]
+        cols = (
+            _concat_records([aos] + [e[1] for e in arrived]),
+            np.concatenate([pc.rdata] + [e[2] for e in arrived], axis=1),
+            np.concatenate([pc.idata] + [e[3] for e in arrived], axis=1),
+            np.concatenate([dest, np.repeat([e[0] for e in arrived], sizes, axis=0)]),
         )
-        tile.sort_by_id()
-    counters.incr("particles_redistributed", moved)
+    stay = valid.copy()
+    stay[moving] = False
+    local = moving[~far]
+    _store_rows(
+        pc, *cols, np.concatenate([np.flatnonzero(stay), local, np.arange(n, cols[0].shape[0])])
+    )
+    counters.incr("particles_redistributed", moving.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -632,20 +631,15 @@ def _require_fresh(pc, halo):
 
 
 def _stored(pc):
-    """Every stored particle, tiles back to back in sorted key order:
-    (level, grid, tile, slot, id) columns, positions, extras with particles
-    on axis 0, and each tile key's first row."""
-    keys = pc.sorted_keys()
-    tiles = [pc.tiles[k] for k in keys]
-    sizes = [t.size for t in tiles]
-    first = np.cumsum([0] + sizes)
-    aos = np.concatenate([np.zeros(0, _aos_dtype(pc.dim))] + [t.aos for t in tiles])
-    cols = np.column_stack(
-        _stored_keys(keys, sizes)
-        + (np.arange(first[-1]) - np.repeat(first[:-1], sizes), aos["id"])
-    )
-    rdata = np.concatenate([np.zeros((pc.nreal, 0))] + [t.rdata for t in tiles], axis=1)
-    return cols, aos["pos"], rdata.T, dict(zip(keys, first.tolist()))
+    """(level, grid, tile, slot, id) columns of every store row."""
+    slot = np.arange(pc.aos.shape[0]) - np.repeat(pc.starts[:-1], np.diff(pc.starts))
+    return np.column_stack([pc._row_keys(), slot, pc.aos["id"]])
+
+
+def _owner_rows(pc, key, slot):
+    """Store row of each particle named by its tile key (n, 3) and slot."""
+    tiles, owners = _codes(pc.keys, key)
+    return pc.starts[np.searchsorted(tiles, owners)] + slot
 
 
 def _ranks(pc, levels, grids):
@@ -684,7 +678,7 @@ def fill_neighbors(pc, nghost, transport=None):
         transport = Transport(pc.nranks)
     nghost = int(nghost)
     dim = pc.dim
-    own, own_pos, own_r, _ = _stored(pc)
+    own, own_pos, own_r = _stored(pc), pc.aos["pos"], pc.rdata.T
     # per copy: level, holder grid and tile, then owner grid, tile, slot, id
     ints = [np.zeros((0, 7), dtype=np.int64)]
     shifts = [np.zeros((0, dim), dtype=np.int64)]
@@ -744,18 +738,14 @@ def update_neighbors(pc, halo, transport=None):
     _require_fresh(pc, halo)
     if transport is None:
         transport = Transport(pc.nranks)
-    _, own_pos, own_r, first = _stored(pc)
-    # each copy's owner row: its owner tile's first row plus its slot
     owner = np.column_stack([halo.level, halo.src_grid, halo.src_tile])
-    uniq, inv = np.unique(owner, axis=0, return_inverse=True)
-    base = np.array([first[tuple(k)] for k in uniq.tolist()], dtype=np.int64)
-    row = base[inv.reshape(-1)] + halo.src_slot
+    row = _owner_rows(pc, owner, halo.src_slot)
     dx = np.array([g.cell_size for g in pc.geoms])[halo.level]
     idx, fresh_pos, fresh_r = _route(
         transport,
         _ranks(pc, halo.level, halo.src_grid),
         _ranks(pc, halo.level, halo.grid),
-        (np.arange(halo.total), own_pos[row] + halo.shift * dx, own_r[row]),
+        (np.arange(halo.total), pc.aos["pos"][row] + halo.shift * dx, pc.rdata[:, row].T),
         "update_neighbors",
     )
     halo.pos[idx] = fresh_pos
@@ -788,10 +778,8 @@ def sum_neighbors(pc, halo, comp, transport=None):
     )
     order = np.lexsort(tuple(keys[:, c] for c in range(5, -1, -1)))
     keys = keys[order]
-    vals = vals[order]
-    for i, j in zip(*_runs(keys[:, 0], keys[:, 1], keys[:, 2])):
-        tile = pc.tiles[tuple(keys[i, :3].tolist())]
-        np.add.at(tile.rdata[comp], keys[i:j, 3], vals[i:j])
+    # one np.add.at, additions in the order of the sorted keys
+    np.add.at(pc.rdata[comp], _owner_rows(pc, keys[:, :3], keys[:, 3]), vals[order])
 
 
 # ---------------------------------------------------------------------------
@@ -834,15 +822,24 @@ class NeighborList:
 
 
 def build_neighbor_list(pc, halo, cutoff, predicate=None):
-    """Candidate pairs from cutoff-sized bins over owned+halo particles,
-    kept where the predicate holds (default: distance <= cutoff)."""
+    """Candidate pairs from cutoff-sized bins over each tile's owned+halo
+    particles, kept where the predicate holds (default: distance <= cutoff).
+
+    One pair search covers the container: every tile's owned particles and
+    then its halo copies form one segment, binned over the tile region
+    grown by the halo width, and pairs never cross segments.
+    """
     _require_fresh(pc, halo)
     cutoff = float(cutoff)
     nl = NeighborList(cutoff)
-    for key in pc.sorted_keys():
-        lev, g, t = key
-        tile = pc.tiles[key]
-        if tile.size == 0:
+    ntiles = pc.keys.shape[0]
+    if not ntiles:
+        return nl
+    lo = np.empty((ntiles, pc.dim))
+    hi = np.empty((ntiles, pc.dim))
+    for lev in range(pc.nlevels):
+        on = np.flatnonzero(pc.keys[:, 0] == lev)
+        if not on.shape[0]:
             continue
         geom = pc.geoms[lev]
         dx = np.asarray(geom.cell_size)
@@ -850,39 +847,54 @@ def build_neighbor_list(pc, halo, cutoff, predicate=None):
             raise ParticleError(
                 f"halo nghost={halo.nghost} too small for cutoff {cutoff}"
             )
-        ht = halo.tiles.get(key)
-        own_pos = tile.aos["pos"]
-        if ht is not None and ht.size:
-            all_pos = np.concatenate([own_pos, ht.pos])
-            all_ids = np.concatenate([tile.aos["id"], ht.ids])
-        else:
-            all_pos = own_pos
-            all_ids = tile.aos["id"].copy()
-        tbox = tile_box_of(pc.bas[lev][g], pc.tile_size, t)
+        b = _tile_bounds(pc, lev, pc.keys[on, 1], pc.keys[on, 2])
+        b = b - np.asarray(geom.domain.lo.coords)
         plo = np.asarray(geom.prob_lo)
-        dlo = np.asarray(geom.domain.lo.coords)
-        lo = plo + (np.asarray(tbox.lo.coords) - dlo - halo.nghost) * dx
-        hi = plo + (np.asarray(tbox.hi.coords) - dlo + 1 + halo.nghost) * dx
-        if predicate is None:
-            pairs = kernels.neighbor_pairs(all_pos, lo, hi, cutoff)
-        else:
-            pairs = kernels.neighbor_pairs(all_pos, lo, hi, cutoff, max_dist=np.inf)
-            if pairs.shape[0]:
-                keep = predicate(all_pos[pairs[:, 0]], all_pos[pairs[:, 1]])
-                pairs = pairs[np.asarray(keep, dtype=bool)]
-        n_own = own_pos.shape[0]
+        lo[on] = plo + (b[:, 0] - halo.nghost) * dx
+        hi[on] = plo + (b[:, 1] + 1 + halo.nghost) * dx
+    # each tile's halo rows: the halo is sorted by holder key, as the store
+    code, tile_code = _codes(np.column_stack([halo.level, halo.grid, halo.tile]), pc.keys)
+    h0 = np.searchsorted(code, tile_code)
+    n_own = np.diff(pc.starts)
+    n_halo = np.searchsorted(code, tile_code, side="right") - h0
+    nstore = pc.aos.shape[0]
+    rows = _ranges(
+        np.stack([pc.starts[:-1], nstore + h0], axis=1).reshape(-1),
+        np.stack([n_own, n_halo], axis=1).reshape(-1),
+    )
+    pos = np.concatenate([pc.aos["pos"], halo.pos])[rows]
+    ids = np.concatenate([pc.aos["id"], halo.ids])[rows]
+    size = n_own + n_halo
+    seg = np.repeat(np.arange(ntiles), size)
+    if predicate is None:
+        pairs = kernels.neighbor_pairs(pos, lo, hi, cutoff, segment=seg)
+    else:
+        pairs = kernels.neighbor_pairs(pos, lo, hi, cutoff, max_dist=np.inf, segment=seg)
         if pairs.shape[0]:
-            a, b = pairs[:, 0], pairs[:, 1]
-            src = np.concatenate([a[a < n_own], b[b < n_own]])
-            dst = np.concatenate([b[a < n_own], a[b < n_own]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        counts = np.bincount(src, minlength=n_own)
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        nl.tiles[key] = _TileList(offsets, dst, all_ids, n_own)
+            keep = predicate(pos[pairs[:, 0]], pos[pairs[:, 1]])
+            pairs = pairs[np.asarray(keep, dtype=bool)]
+    # both directions of each pair whose end is owned, in segment-local rows
+    first = np.cumsum(size) - size
+    t = seg[pairs[:, 0]]
+    a, b = pairs[:, 0] - first[t], pairs[:, 1] - first[t]
+    fwd, back = a < n_own[t], b < n_own[t]
+    t = np.concatenate([t[fwd], t[back]])
+    src = np.concatenate([a[fwd], b[back]])
+    dst = np.concatenate([b[fwd], a[back]])
+    order = np.lexsort((dst, src, t))
+    dst = dst[order]
+    # per owned particle (store row), its first entry in dst
+    count = np.bincount(pc.starts[t] + src, minlength=nstore)
+    at = np.concatenate([[0], np.cumsum(count)]).astype(np.int64)
+    bounds = pc.starts.tolist()
+    for i, key in enumerate(pc.tiles):
+        r0, r1 = bounds[i], bounds[i + 1]
+        nl.tiles[key] = _TileList(
+            at[r0 : r1 + 1] - at[r0],
+            dst[at[r0] : at[r1]],
+            ids[first[i] : first[i] + size[i]],
+            r1 - r0,
+        )
     return nl
 
 
@@ -972,20 +984,11 @@ def partition(n, predicate):
 _KERNEL_RADIUS = {"ngp": 0, "cic": 1}
 
 
-def _c_strides(ext):
-    """C-order element strides of boxes with extents ext, (n, D)."""
-    ones = np.ones((ext.shape[0], 1), dtype=np.int64)
-    return np.concatenate([np.cumprod(ext[:, :0:-1], axis=1)[:, ::-1], ones], axis=1)
-
-
 def _level_particles(pc, level):
-    """The level's non-empty tile keys in sorted_keys() order, their
-    particle counts, and their positions concatenated in that order (None
-    without keys)."""
-    keys = [k for k in pc.sorted_keys() if k[0] == level and pc.tiles[k].size]
-    counts = np.array([pc.tiles[k].size for k in keys], dtype=np.int64)
-    pos = np.concatenate([pc.tiles[k].aos["pos"] for k in keys]) if keys else None
-    return keys, counts, pos
+    """The level's run of the store: its tiles' (level, grid, tile) keys,
+    their particle counts, and the run's rows as a slice."""
+    t0, t1 = np.searchsorted(pc.keys[:, 0], [level, level + 1])
+    return pc.keys[t0:t1], np.diff(pc.starts[t0 : t1 + 1]), slice(pc.starts[t0], pc.starts[t1])
 
 
 def _frame(geom):
@@ -1037,8 +1040,8 @@ def particle_to_mesh(
 
     Each non-empty tile deposits into a private buffer covering its region
     plus the kernel radius.  The buffers are segments of one flat array,
-    filled by one kernel call over the level's particles in sorted_keys()
-    order; one np.add.at then folds them into the arena buffer after
+    filled by one kernel call over the level's run of the store; one
+    np.add.at then folds them into the arena buffer after
     buffer in tile order, so every cell sees the additions a per-tile loop
     would make.  Ghost cells fold across grids with a boundary sum.  With
     dual_grid the deposit lands on a scratch FabArray over the particle
@@ -1059,24 +1062,22 @@ def particle_to_mesh(
             raise ParticleError("mesh layout differs; deposit needs dual_grid=True")
         target = mesh.component(comp)
     target.setval(0.0)
-    keys, counts, pos = _level_particles(pc, level)
-    if keys:
-        if weight is None:
-            w = np.ones(pos.shape[0])
-        else:
-            w = np.concatenate([pc.tiles[k].rdata[int(weight)] for k in keys])
+    keys, counts, rows = _level_particles(pc, level)
+    if keys.shape[0]:
+        pos = pc.aos["pos"][rows]
+        w = np.ones(pos.shape[0]) if weight is None else pc.rdata[int(weight), rows]
         lo, ext, size, start, first, fold = _deposit_layout(pc, level, radius, target)
-        rows = first[[k[1] for k in keys]] + np.array([k[2] for k in keys], dtype=np.int64)
-        seg = np.cumsum(size[rows]) - size[rows]
-        buf = np.zeros(int(seg[-1] + size[rows[-1]]), dtype=target.dtype)
-        box = _per_particle(geom, counts, lo[rows], _c_strides(ext[rows]), seg)
+        tiles = first[keys[:, 1]] + keys[:, 2]
+        seg = np.cumsum(size[tiles]) - size[tiles]
+        buf = np.zeros(int(seg[-1] + size[tiles[-1]]), dtype=target.dtype)
+        box = _per_particle(geom, counts, lo[tiles], _c_strides(ext[tiles]), seg)
         plo, dxinv = _frame(geom)
         if kernel == "cic":
             kernels.deposit_cic(pos, w, plo, dxinv, box[0], buf, *box[1:])
         else:
             np.add.at(buf, _ngp_index(plo, dxinv, pos, *box), w)
-        if rows.shape[0] < size.shape[0]:  # some tiles are empty
-            fold = fold[_ranges(start[rows], size[rows])]
+        if tiles.shape[0] < size.shape[0]:  # some tiles are empty
+            fold = fold[_ranges(start[tiles], size[tiles])]
         np.add.at(target.arena, fold, buf)
     sum_boundary(target, transport, geom.domain, geom.periodic)
     if dual_grid:
@@ -1111,25 +1112,23 @@ def mesh_to_particle(
             raise ParticleError("mesh layout differs; gather needs dual_grid=True")
         src = mesh.component(comp)
     fill_boundary(src, transport, geom.domain, geom.periodic)
-    keys, counts, pos = _level_particles(pc, level)
-    if not keys:
+    keys, counts, rows = _level_particles(pc, level)
+    if not keys.shape[0]:
         return {}
-    grids = np.array([k[1] for k in keys], dtype=np.int64)
+    grids = keys[:, 1]
     box = _per_particle(
         geom, counts, src.glo[grids], _c_strides(src.gext[grids]), src.offsets[grids]
     )
+    pos = pc.aos["pos"][rows]
     plo, dxinv = _frame(geom)
     if kernel == "cic":
         vals = kernels.gather_cic(pos, plo, dxinv, box[0], src.arena, *box[1:])
     else:
         vals = src.arena[_ngp_index(plo, dxinv, pos, *box)]
-    out = {}
+    if out_comp is not None:
+        pc.rdata[int(out_comp), rows] = vals
     ends = np.cumsum(counts).tolist()
-    for key, a, b in zip(keys, [0] + ends[:-1], ends):
-        out[key] = vals[a:b]
-        if out_comp is not None:
-            pc.tiles[key].rdata[int(out_comp)] = vals[a:b]
-    return out
+    return {k: vals[a:b] for k, a, b in zip(map(tuple, keys.tolist()), [0] + ends[:-1], ends)}
 
 
 # ---------------------------------------------------------------------------

@@ -390,10 +390,11 @@ def read_plotfile(path, nranks=1):
 
 
 def write_particles(path, pc):
-    """Dump every tile's records; deterministic because keys are sorted and
-    tiles are id-sorted."""
+    """Dump every tile's records, each column a slice of the container's
+    store; deterministic because the store is sorted by tile key and id."""
     os.makedirs(path, exist_ok=True)
-    keys = [k for k in pc.sorted_keys() if pc.tiles[k].size]
+    keys = pc.keys.tolist()
+    bounds = pc.starts.tolist()
     lines = [
         PARTICLE_TAG,
         "endian little",
@@ -403,23 +404,22 @@ def write_particles(path, pc):
         f"ntiles {len(keys)}",
     ]
     at = 0
-    spans = []
-    for key in keys:
-        n = pc.tiles[key].size
-        nbytes = n * (8 + 4 + 8 * pc.dim + 8 * pc.nreal + 8 * pc.nint)
-        lines.append(f"tile {key[0]} {key[1]} {key[2]} {n} {at} {nbytes}")
-        spans.append((key, at, nbytes))
+    for (lev, grid, tile), a, b in zip(keys, bounds, bounds[1:]):
+        nbytes = (b - a) * (8 + 4 + 8 * pc.dim + 8 * pc.nreal + 8 * pc.nint)
+        lines.append(f"tile {lev} {grid} {tile} {b - a} {at} {nbytes}")
         at += nbytes
     with open(os.path.join(path, "Header"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(path, "data.bin"), "wb") as fh:
-        for key, _, _ in spans:
-            t = pc.tiles[key]
-            fh.write(np.ascontiguousarray(t.aos["id"]).astype("<i8").tobytes())
-            fh.write(np.ascontiguousarray(t.aos["origin"]).astype("<i4").tobytes())
-            fh.write(np.ascontiguousarray(t.aos["pos"]).astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(t.rdata).astype("<f8").tobytes())
-            fh.write(np.ascontiguousarray(t.idata).astype("<i8").tobytes())
+        for a, b in zip(bounds, bounds[1:]):
+            for part, fmt in (
+                (pc.aos["id"][a:b], "<i8"),
+                (pc.aos["origin"][a:b], "<i4"),
+                (pc.aos["pos"][a:b], "<f8"),
+                (pc.rdata[:, a:b], "<f8"),
+                (pc.idata[:, a:b], "<i8"),
+            ):
+                fh.write(part.astype(fmt).tobytes())
 
 
 def read_particles(path, expect_schema=None):
@@ -462,20 +462,24 @@ def read_particles(path, expect_schema=None):
 
 
 def load_particles_into(pc, path):
-    """Replace pc's tiles with the dump's contents (schema must match)."""
-    from .particles import ParticleTile
+    """Replace pc's particles with the dump's contents (schema must match)."""
+    from .particles import _aos_dtype, _store_rows
 
     _, records = read_particles(path, expect_schema=(pc.dim, pc.nreal, pc.nint))
-    pc.tiles.clear()
-    for key in sorted(records):
-        ids, origin, pos, rdata, idata = records[key]
-        tile = ParticleTile(pc.dim, pc.nreal, pc.nint, n=len(ids))
-        tile.aos["id"] = ids
-        tile.aos["origin"] = origin
-        tile.aos["pos"] = pos
-        tile.rdata = rdata
-        tile.idata = idata
-        pc.tiles[key] = tile
+    tiles = [records[k] for k in sorted(records)]
+    counts = [len(t[0]) for t in tiles]
+    aos = np.zeros(sum(counts), dtype=_aos_dtype(pc.dim))
+    if tiles:
+        for c, name in enumerate(("id", "origin", "pos")):
+            aos[name] = np.concatenate([t[c] for t in tiles])
+    _store_rows(
+        pc,
+        aos,
+        np.concatenate([np.zeros((pc.nreal, 0))] + [t[3] for t in tiles], axis=1),
+        np.concatenate([np.zeros((pc.nint, 0), dtype=np.int64)] + [t[4] for t in tiles], axis=1),
+        np.repeat(np.array(sorted(records), dtype=np.int64).reshape(-1, 3), counts, axis=0),
+        np.arange(aos.shape[0]),
+    )
     pc.epoch += 1
 
 

@@ -133,6 +133,31 @@ def test_owners_at_matches_brute_force(rng):
         assert ba.bounds().tolist() == [[list(b.lo), list(b.hi)] for b in ba]
 
 
+def test_owners_at_matches_batch_query(rng):
+    # the one-bin point path against the general batch query, which walks
+    # the same hash: same owners (lowest containing index) and same counts
+    for trial in range(60):
+        dim = trial % 3 + 1
+        n = int(rng.integers(4, 30))
+        lo = [int(rng.integers(-8, 8)) for _ in range(dim)]
+        domain = Box(IntVect(lo), IntVect([l + n - 1 for l in lo]))
+        ba = random_cover(rng, domain, nsplits=int(rng.integers(0, 12)))
+        if trial % 2:
+            ba = ba.convert(IndexType.node(dim))  # shared faces
+        pts = rng.integers(np.array(lo) - 5, np.array(lo) + n + 5, size=(300, dim))
+        h = ba._get_hash()
+        counters.reset("hash_bins_examined", "hash_queries")
+        query, box = h.meeting(pts.T.copy(), pts.T.copy())
+        want_counts = counters.get("hash_bins_examined"), counters.get("hash_queries")
+        want = np.full(len(pts), -1, dtype=np.int64)
+        hit, first = np.unique(query, return_index=True)  # sorted by query, then box
+        want[hit] = box[first]
+        counters.reset("hash_bins_examined", "hash_queries")
+        got = ba.owners_at(pts)
+        assert (counters.get("hash_bins_examined"), counters.get("hash_queries")) == want_counts
+        assert got.tolist() == want.tolist()
+
+
 def test_max_size_partitions_and_bounds(rng):
     for _ in range(30):
         dim = int(rng.integers(1, 4))

@@ -18,11 +18,12 @@ from amrkit.fabarray import (
     parallel_copy,
     sum_boundary,
 )
-from amrkit.kernels import deposit_cic, gather_cic
+from amrkit.kernels import deposit_cic, gather_cic, neighbor_pairs
 from amrkit.index_space import Box, IntVect
 from amrkit.particles import (
     ParticleContainer,
     ParticleError,
+    ParticleTile,
     bin_permutation,
     build_neighbor_list,
     check_locations,
@@ -236,7 +237,107 @@ def test_soak_multiset_identical_across_ranks(rng):
     assert results[1] == results[4]
 
 
+def test_tile_writes_reach_redistribute_and_deposit(rng):
+    pc = _setup(nranks=2, nreal=1)
+    _inject(pc, rng.random((200, DIM)), rdata=np.ones((1, 200)))
+    key = pc.sorted_keys()[0]
+    t = pc.tiles[key]
+    n = t.size
+    # an extra written through rdata[c] is the deposit weight
+    t.rdata[0] = 3.0
+    mesh = FabArray(pc.bas[0], pc.dms[0], 1, 1)
+    particle_to_mesh(pc, mesh, weight=0)
+    assert gather_global(mesh, pc.geoms[0].domain).sum() == pytest.approx(200 + 2 * n)
+    # positions written through aos["pos"], by element, by field and in
+    # place, are what redistribute files the particles by
+    first, second = int(t.aos["id"][0]), int(t.aos["id"][1])
+    t.aos["pos"][0] = (0.99, 0.99)
+    moved = t.aos["pos"].copy()
+    moved[1] = (0.51, 0.02)
+    t.aos["pos"] = moved
+    for other in pc.sorted_keys()[1:]:
+        pc.tiles[other].aos["pos"] += 0.25
+    redistribute(pc)
+    assert check_locations(pc) == []
+    assert pc.total_valid() == 200
+    for pid, at in ((first, (0.99, 0.99)), (second, (0.51, 0.02))):
+        lev, grid, cell = locate(pc, at)
+        tid = BruteForceRedistribute.locate_row(pc, np.array(at))[2]
+        assert pid in pc.tiles[(lev, grid, tid)].aos["id"].tolist()
+    # the deposit sees the moved weights too
+    particle_to_mesh(pc, mesh, weight=0)
+    assert gather_global(mesh, pc.geoms[0].domain).sum() == pytest.approx(200 + 2 * n)
+
+
+def test_tile_keep_removes_from_the_store(rng):
+    pc = _setup(nranks=2)
+    _inject(pc, rng.random((100, DIM)))
+    key = pc.sorted_keys()[1]
+    t = pc.tiles[key]
+    gone = t.aos["id"][::2].copy()
+    mask = np.ones(t.size, dtype=bool)
+    mask[::2] = False
+    t.keep(mask)
+    assert pc.total_valid() == 100 - gone.shape[0]
+    assert not set(gone.tolist()) & set(pc.all_ids().tolist())
+    assert t.aos.tobytes() == pc.tiles[key].aos.tobytes()
+    assert check_locations(pc) == []
+
+
+def test_particle_tile_has_no_copying_methods():
+    for name in ("take", "extend", "sort_by_id"):
+        assert not hasattr(ParticleTile, name)
+
+
 # -- redistribution against a brute-force reference ----------------------------
+
+
+class ListTile:
+    """Separate storage for one (level, grid, tile) bucket, as containers
+    kept it before the store: its own record array and extras, grown and
+    shrunk by copying."""
+
+    __slots__ = ("aos", "rdata", "idata")
+
+    def __init__(self, dim, nreal, nint):
+        self.aos = np.zeros(0, dtype=_aos_dtype(dim))
+        self.rdata = np.zeros((nreal, 0))
+        self.idata = np.zeros((nint, 0), dtype=np.int64)
+
+    @property
+    def size(self):
+        return self.aos.shape[0]
+
+    def keep(self, mask):
+        self.aos = self.aos[mask]
+        self.rdata = self.rdata[:, mask]
+        self.idata = self.idata[:, mask]
+
+    def extend(self, aos, rdata, idata):
+        self.aos = np.concatenate([self.aos, aos])
+        self.rdata = np.concatenate([self.rdata, rdata], axis=1)
+        self.idata = np.concatenate([self.idata, idata], axis=1)
+
+    def sort_by_id(self):
+        order = np.argsort(self.aos["id"], kind="stable")
+        self.aos = self.aos[order]
+        self.rdata = self.rdata[:, order]
+        self.idata = self.idata[:, order]
+
+    def take(self, sel):
+        """Copies of the records and extras at the selected indices."""
+        return self.aos[sel].copy(), self.rdata[:, sel].copy(), self.idata[:, sel].copy()
+
+
+class TileContainer(ParticleContainer):
+    """A container whose tiles dict holds ListTiles, for the references;
+    only the reference operations may touch it."""
+
+    def tile(self, level, grid, tid, create=False):
+        key = (int(level), int(grid), int(tid))
+        if key not in self.tiles and create:
+            self.tiles[key] = ListTile(self.dim, self.nreal, self.nint)
+        return self.tiles.get(key)
 
 
 class BruteForceRedistribute:
@@ -374,8 +475,8 @@ def _two_containers(rng, dim, nlevels, nranks, periodic, npart, tile=None):
     if tile is None:
         tile = int(rng.integers(2, 6))
     pcs = [
-        ParticleContainer(geoms, bas, dms, nreal=2, nint=1, tile_size=tile)
-        for _ in range(2)
+        cls(geoms, bas, dms, nreal=2, nint=1, tile_size=tile)
+        for cls in (ParticleContainer, TileContainer)
     ]
     pos = rng.random((npart, dim))
     # repeated ids make arrival order visible in storage (stable id sort)
@@ -883,6 +984,97 @@ def test_neighbor_list_predicate_replaces_distance_filter(rng):
     assert set(map(tuple, filtered.id_pairs())) == set(map(tuple, direct.id_pairs()))
 
 
+class TileLoopNeighborList:
+    """The per-tile neighbour list build: one neighbor_pairs call per
+    non-empty tile over its owned then halo particles, binned over the
+    tile region grown by the halo width."""
+
+    @staticmethod
+    def build(pc, halo, cutoff, predicate=None):
+        out = {}
+        for key in pc.sorted_keys():
+            lev, g, t = key
+            tile = pc.tiles[key]
+            geom = pc.geoms[lev]
+            dx = np.asarray(geom.cell_size)
+            ht = halo.tiles.get(key)
+            own_pos = tile.aos["pos"]
+            if ht is not None and ht.size:
+                all_pos = np.concatenate([own_pos, ht.pos])
+                all_ids = np.concatenate([tile.aos["id"], ht.ids])
+            else:
+                all_pos = own_pos
+                all_ids = tile.aos["id"].copy()
+            tbox = tile_box_of(pc.bas[lev][g], pc.tile_size, t)
+            plo = np.asarray(geom.prob_lo)
+            dlo = np.asarray(geom.domain.lo.coords)
+            lo = plo + (np.asarray(tbox.lo.coords) - dlo - halo.nghost) * dx
+            hi = plo + (np.asarray(tbox.hi.coords) - dlo + 1 + halo.nghost) * dx
+            if predicate is None:
+                pairs = neighbor_pairs(all_pos, lo, hi, cutoff)
+            else:
+                pairs = neighbor_pairs(all_pos, lo, hi, cutoff, max_dist=np.inf)
+                if pairs.shape[0]:
+                    keep = predicate(all_pos[pairs[:, 0]], all_pos[pairs[:, 1]])
+                    pairs = pairs[np.asarray(keep, dtype=bool)]
+            n_own = own_pos.shape[0]
+            if pairs.shape[0]:
+                a, b = pairs[:, 0], pairs[:, 1]
+                src = np.concatenate([a[a < n_own], b[b < n_own]])
+                dst = np.concatenate([b[a < n_own], a[b < n_own]])
+                order = np.lexsort((dst, src))
+                src, dst = src[order], dst[order]
+            else:
+                src = np.empty(0, dtype=np.int64)
+                dst = np.empty(0, dtype=np.int64)
+            counts = np.bincount(src, minlength=n_own)
+            offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+            out[key] = (offsets, dst, all_ids, n_own)
+        return out
+
+
+def test_neighbor_list_matches_tile_loop_reference(rng, monkeypatch):
+    calls = []
+    fn = kernels.neighbor_pairs
+    monkeypatch.setattr(kernels, "neighbor_pairs", lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    seen = set()
+    trial = 0
+    for nranks in (1, 3, 4):
+        for dim in (2, 3):
+            for nlevels in (1, 2):
+                for use_predicate in (False, True):
+                    trial += 1
+                    pc, _ = _two_containers(
+                        rng, dim, nlevels, nranks, bool(trial % 2), 150, tile=trial % 3 + 2
+                    )
+                    redistribute(pc, Transport(nranks))
+                    nghost = 1 + trial % 2
+                    halo = fill_neighbors(pc, nghost, Transport(nranks))
+                    cutoff = nghost * min(pc.geoms[-1].cell_size) * (0.6 + 0.4 * rng.random())
+                    pred = None
+                    if use_predicate:
+                        tight = 0.7 * cutoff
+                        pred = lambda pa, pb, t=tight: ((pa - pb) ** 2).sum(axis=1) <= t * t
+                    del calls[:]
+                    got = build_neighbor_list(pc, halo, cutoff, predicate=pred)
+                    assert len(calls) == 1
+                    want = TileLoopNeighborList.build(pc, halo, cutoff, predicate=pred)
+                    assert list(got.tiles) == list(want)
+                    for key, (offsets, indices, ids, n_owned) in want.items():
+                        tl = got.tiles[key]
+                        assert tl.n_owned == n_owned
+                        for a, b in ((tl.offsets, offsets), (tl.indices, indices), (tl.ids, ids)):
+                            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                            assert a.tobytes() == b.tobytes()
+                    layout_tiles = sum(len(pc.tile_layout(lev)[0]) for lev in range(pc.nlevels))
+                    seen |= {
+                        ("empty tiles", len(want) < layout_tiles),
+                        ("halo-only tiles", bool(set(halo.tiles) - set(want))),
+                        ("pairs", any(len(v[1]) for v in want.values())),
+                    }
+    assert seen >= {("empty tiles", True), ("halo-only tiles", True), ("pairs", True)}
+
+
 # -- particle-mesh -----------------------------------------------------------
 
 
@@ -1216,7 +1408,7 @@ def test_transfer_calls_each_kernel_once_per_level(monkeypatch):
     )
     redistribute(pc, Transport(4))
     assert len(pc.tiles) == 64
-    calls = {"deposit_cic": 0, "gather_cic": 0}
+    calls = {"deposit_cic": 0, "gather_cic": 0, "neighbor_pairs": 0}
     for name in calls:
         fn = getattr(kernels, name)
 
@@ -1227,9 +1419,13 @@ def test_transfer_calls_each_kernel_once_per_level(monkeypatch):
         monkeypatch.setattr(kernels, name, counted)
     mesh = FabArray(ba, dm, 1, 1)
     particle_to_mesh(pc, mesh, Transport(4))
-    assert calls == {"deposit_cic": 1, "gather_cic": 0}
+    assert calls == {"deposit_cic": 1, "gather_cic": 0, "neighbor_pairs": 0}
     mesh_to_particle(pc, mesh, Transport(4))
-    assert calls == {"deposit_cic": 1, "gather_cic": 1}
+    assert calls == {"deposit_cic": 1, "gather_cic": 1, "neighbor_pairs": 0}
+    # and the neighbour list of all 64 tiles is one pair search
+    nl = build_neighbor_list(pc, fill_neighbors(pc, 1, Transport(4)), geom.cell_size[0])
+    assert len(nl.tiles) == 64
+    assert calls == {"deposit_cic": 1, "gather_cic": 1, "neighbor_pairs": 1}
 
 
 def test_layout_cache_entries_go_with_their_layout():

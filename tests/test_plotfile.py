@@ -382,6 +382,65 @@ def test_particle_dump_reload_into_container(rng, tmp_path):
     assert dst.total_valid() == n
 
 
+def _write_particles_per_tile(path, pc):
+    """The dump as written from separate per-tile storage: Header lines,
+    then each tile's id, origin, pos, rdata and idata columns."""
+    os.makedirs(path, exist_ok=True)
+    keys = [k for k in pc.sorted_keys() if pc.tiles[k].size]
+    lines = ["amrkit-particles-1", "endian little", f"dim {pc.dim}",
+             f"nreal {pc.nreal}", f"nint {pc.nint}", f"ntiles {len(keys)}"]
+    at = 0
+    for key in keys:
+        n = pc.tiles[key].size
+        nbytes = n * (8 + 4 + 8 * pc.dim + 8 * pc.nreal + 8 * pc.nint)
+        lines.append(f"tile {key[0]} {key[1]} {key[2]} {n} {at} {nbytes}")
+        at += nbytes
+    with open(os.path.join(path, "Header"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with open(os.path.join(path, "data.bin"), "wb") as fh:
+        for key in keys:
+            t = pc.tiles[key]
+            fh.write(np.ascontiguousarray(t.aos["id"]).astype("<i8").tobytes())
+            fh.write(np.ascontiguousarray(t.aos["origin"]).astype("<i4").tobytes())
+            fh.write(np.ascontiguousarray(t.aos["pos"]).astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(t.rdata).astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(t.idata).astype("<i8").tobytes())
+
+
+def test_particle_dump_bytes_match_per_tile_writer(rng, tmp_path):
+    # two levels, repeated ids, several extras, and a reload that must
+    # rebuild the same store
+    header, _ = _two_level(rng, nranks=3)
+    bas = [BoxArray([Box(IntVect(0, 0), IntVect(15, 15))]).max_size(8),
+           BoxArray([Box(IntVect(16, 16), IntVect(31, 31))]).max_size(8)]
+    dms = [sfc_distribute(ba, default_costs(ba), 3) for ba in bas]
+    for nreal, nint in ((0, 0), (2, 1), (1, 3)):
+        pc = ParticleContainer(header.geoms, bas, dms, nreal=nreal, nint=nint, tile_size=4)
+        n = 400
+        pc.add_particles(
+            rng.random((n, 2)),
+            rdata=rng.random((nreal, n)),
+            idata=rng.integers(-9, 9, (nint, n)),
+            ids=rng.integers(1, n // 3, n),
+            origin_rank=2,
+        )
+        redistribute(pc)
+        got, want = str(tmp_path / f"store{nreal}"), str(tmp_path / f"tiles{nreal}")
+        write_particles(got, pc)
+        _write_particles_per_tile(want, pc)
+        for name in ("Header", "data.bin"):
+            with open(os.path.join(got, name), "rb") as a:
+                with open(os.path.join(want, name), "rb") as b:
+                    assert a.read() == b.read()
+        again = ParticleContainer(header.geoms, bas, dms, nreal=nreal, nint=nint, tile_size=4)
+        load_particles_into(again, got)
+        assert again.sorted_keys() == pc.sorted_keys()
+        for a, b in ((again.aos, pc.aos), (again.rdata, pc.rdata), (again.idata, pc.idata)):
+            assert a.tobytes() == b.tobytes()
+        assert again.keys.tobytes() == pc.keys.tobytes()
+        assert again.starts.tobytes() == pc.starts.tobytes()
+
+
 def test_empty_particle_dump(rng, tmp_path):
     pc = _particle_setup(rng, nranks=2)
     path = str(tmp_path / "empty")
