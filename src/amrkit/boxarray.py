@@ -8,13 +8,14 @@ maximum box extent, so a query the size of a box (or a box grown by a few
 ghost cells) touches at most 3 bins per dimension no matter how many boxes
 the collection holds.
 
-Next to the Box tuple a layout keeps an array form, an ``(N, 2, D)`` int64
-array of lo/hi corners built on first use, and the hash is built from it in
-numpy.  ``intersections`` also takes an ``(M, 2, D)`` array of query boxes
-and answers them all at once: bin keys are computed in numpy, looked up in
-the hash's sorted key array and the overlaps cut in one pass, so a batch
-makes no per-query Python objects.  ``owners_at`` answers points in the
-same hash, one bin per point, and ``validate`` is one uncounted
+A layout is stored as an ``(N, 2, D)`` int64 array of lo/hi corners; Box
+objects are made on first use and kept.  Equality, cell counts, refine,
+coarsen, convert and max_size work on the array, and the hash is built from
+it in numpy.  ``intersections`` also takes an ``(M, 2, D)`` array of query
+boxes and answers them all at once: bin keys are computed in numpy, looked
+up in the hash's sorted key array and the overlaps cut in one pass, so a
+batch makes no per-query Python objects.  ``owners_at`` answers points in
+the same hash, one bin per point, and ``validate`` is one uncounted
 self-query.
 
 Layouts are immutable and identified by a process-unique uid, so caches
@@ -31,7 +32,7 @@ import weakref
 import numpy as np
 
 from . import counters
-from .index_space import Box, IntVect, as_intvect, box_diff
+from .index_space import Box, IndexType, IntVect, _new, as_intvect, box_diff
 
 _uid_lock = threading.Lock()
 _uid_next = itertools.count(1)
@@ -66,26 +67,36 @@ def _fire(tag):
 class BoxArray:
     """An ordered collection of pairwise-disjoint boxes of one index type."""
 
-    __slots__ = ("boxes", "ixtype", "uid", "_hash", "_bounds", "_hash_lock", "__weakref__")
+    __slots__ = ("ixtype", "uid", "_bounds", "_boxes", "_hash", "_hash_lock", "__weakref__")
 
     def __init__(self, boxes, ixtype=None, validate=True):
-        boxes = tuple(boxes)
-        if ixtype is None:
-            if not boxes:
-                raise ValueError("empty BoxArray needs an explicit index type")
-            ixtype = boxes[0].ixtype
-        object.__setattr__(self, "boxes", boxes)
+        """boxes is a sequence of Boxes or an (N, 2, D) int array of lo/hi
+        corners, cell-centred unless ixtype says otherwise."""
+        if isinstance(boxes, np.ndarray):
+            arr, boxes = np.array(boxes, dtype=np.int64), None
+            ixtype = IndexType.cell(arr.shape[-1]) if ixtype is None else ixtype
+        else:
+            boxes = tuple(boxes)
+            if ixtype is None:
+                if not boxes:
+                    raise ValueError("empty BoxArray needs an explicit index type")
+                ixtype = boxes[0].ixtype
+            for b in boxes:
+                if b.ixtype != ixtype:
+                    raise ValueError(f"mixed index types: {b!r} vs {ixtype!r}")
+            arr = np.array([(b.lo, b.hi) for b in boxes], dtype=np.int64).reshape(-1, 2, ixtype.dim)
+        if arr.shape[1:] != (2, ixtype.dim):
+            raise ValueError(f"bounds must be (N, 2, {ixtype.dim}), got {arr.shape}")
+        if (arr[:, 1] < arr[:, 0]).any():
+            raise ValueError("BoxArray may not contain empty boxes")
+        arr.flags.writeable = False
         object.__setattr__(self, "ixtype", ixtype)
         with _uid_lock:
             object.__setattr__(self, "uid", next(_uid_next))
+        object.__setattr__(self, "_bounds", arr)
+        object.__setattr__(self, "_boxes", boxes)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_bounds", None)
         object.__setattr__(self, "_hash_lock", threading.Lock())
-        for b in boxes:
-            if b.ixtype != ixtype:
-                raise ValueError(f"mixed index types: {b!r} vs {ixtype!r}")
-            if b.is_empty():
-                raise ValueError("BoxArray may not contain empty boxes")
         if validate:
             self.validate()
 
@@ -95,24 +106,30 @@ class BoxArray:
     def validate(self):
         """Check pairwise disjointness; raises naming the overlapping pair
         with the lowest indices.  One uncounted self-query of the index."""
-        if len(self.boxes) > 1:
-            b = self.bounds()
+        if len(self) > 1:
+            b = self._bounds
             q, j = self._get_hash().meeting(b[:, 0].T, b[:, 1].T, count=False)
             hit = np.flatnonzero(q < j)
             if hit.shape[0]:
                 lo, hi = int(q[hit[0]]), int(j[hit[0]])
-                raise ValueError(
-                    f"boxes {lo} and {hi} overlap: "
-                    f"{self.boxes[lo]!r} vs {self.boxes[hi]!r}"
-                )
+                raise ValueError(f"boxes {lo} and {hi} overlap: {self[lo]!r} vs {self[hi]!r}")
         return True
 
     @property
     def dim(self):
         return self.ixtype.dim
 
+    @property
+    def boxes(self):
+        """The members as a tuple of Boxes, made on first use."""
+        if self._boxes is None:
+            t, rows = self.ixtype, self._bounds.tolist()
+            boxes = tuple(Box(_new(IntVect, lo), _new(IntVect, hi), t) for lo, hi in rows)
+            object.__setattr__(self, "_boxes", boxes)
+        return self._boxes
+
     def __len__(self):
-        return len(self.boxes)
+        return self._bounds.shape[0]
 
     def __getitem__(self, i):
         return self.boxes[i]
@@ -123,74 +140,82 @@ class BoxArray:
     def __eq__(self, other):
         if not isinstance(other, BoxArray):
             return NotImplemented
-        return self.boxes == other.boxes and self.ixtype == other.ixtype
+        return self.ixtype == other.ixtype and np.array_equal(self._bounds, other._bounds)
 
     def __hash__(self):
-        return hash((self.boxes, self.ixtype))
+        return hash((self._bounds.shape, self._bounds.tobytes(), self.ixtype))
 
     def __repr__(self):
-        return f"BoxArray({len(self.boxes)} boxes, type {self.ixtype!r})"
+        return f"BoxArray({len(self)} boxes, type {self.ixtype!r})"
 
     def dump(self):
         return "\n".join(repr(b) for b in self.boxes)
 
     def num_cells(self):
-        return sum(b.num_cells() for b in self.boxes)
+        b = self._bounds
+        return int((b[:, 1] - b[:, 0] + 1).prod(axis=1).sum())
 
     def minimal_box(self):
-        if not self.boxes:
+        if not len(self):
             return Box.empty(self.dim, self.ixtype)
-        lo = self.boxes[0].lo
-        hi = self.boxes[0].hi
-        for b in self.boxes[1:]:
-            lo = lo.min(b.lo)
-            hi = hi.max(b.hi)
-        return Box(lo, hi, self.ixtype)
+        b = self._bounds
+        lo, hi = b[:, 0].min(axis=0).tolist(), b[:, 1].max(axis=0).tolist()
+        return Box(IntVect(lo), IntVect(hi), self.ixtype)
 
     # -- derived collections -------------------------------------------------
 
+    def _ratio(self, ratio):
+        if not self.ixtype.is_cell():
+            raise ValueError("refine and coarsen are defined for cell-typed boxes; convert first")
+        r = np.array(as_intvect(ratio, self.dim), dtype=np.int64)
+        if (r < 1).any():
+            raise ValueError("refinement ratio must be >= 1")
+        return r
+
     def refine(self, ratio):
-        return BoxArray([b.refine(ratio) for b in self.boxes], self.ixtype, validate=False)
+        r = self._ratio(ratio)
+        lo, hi = self._bounds[:, 0] * r, (self._bounds[:, 1] + 1) * r - 1
+        return BoxArray(np.stack([lo, hi], axis=1), self.ixtype, validate=False)
 
     def coarsen(self, ratio):
         # coarsening can merge formerly-disjoint boxes into overlap; callers
-        # that need disjointness must check coarsenable() first
-        return BoxArray([b.coarsen(ratio) for b in self.boxes], self.ixtype, validate=False)
+        # that need disjointness must check coarsenable() first.  Floor
+        # division rounds toward -inf, as negative indices require.
+        return BoxArray(self._bounds // self._ratio(ratio), self.ixtype, validate=False)
 
     def coarsenable(self, ratio):
         """True when coarsening by ratio keeps boxes exact (no partial cells)."""
-        return all(b.coarsen(ratio).refine(ratio) == b for b in self.boxes)
+        r = self._ratio(ratio)
+        b = self._bounds
+        return bool((b[:, 0] % r == 0).all() and ((b[:, 1] + 1) % r == 0).all())
 
     def convert(self, ixtype):
-        # nodal collections may legally share faces/edges/corners, so the
-        # disjointness check applies to cell-typed collections only
-        return BoxArray(
-            [b.convert(ixtype) for b in self.boxes], ixtype, validate=ixtype.is_cell()
-        )
+        # hi moves up a node where a dimension turns nodal, down where it
+        # turns cell.  Nodal collections may legally share faces, edges and
+        # corners, so the disjointness check applies to cell-typed ones only
+        b = self._bounds
+        hi = b[:, 1] + np.subtract(ixtype.nodal, self.ixtype.nodal, dtype=np.int64)
+        return BoxArray(np.stack([b[:, 0], hi], axis=1), ixtype, validate=ixtype.is_cell())
 
     def max_size(self, m):
         """Chop every box so no extent exceeds m, cutting at multiples of m
-        measured from each box's own lo corner (remainder chunk last)."""
-        m = as_intvect(m, self.dim)
-        if any(x < 1 for x in m):
+        measured from each box's own lo corner (remainder chunk last).
+        Pieces come box by box, row-major over the cuts with dimension 0
+        outermost."""
+        m = np.array(as_intvect(m, self.dim), dtype=np.int64)
+        if (m < 1).any():
             raise ValueError("max_size must be >= 1 per dimension")
-        out = []
-        for b in self.boxes:
-            pieces = [b]
-            for d in range(self.dim):
-                next_pieces = []
-                for p in pieces:
-                    lo, hi = p.lo[d], p.hi[d]
-                    starts = list(range(lo, hi + 1, m[d]))
-                    for s in starts:
-                        plo = list(p.lo)
-                        phi = list(p.hi)
-                        plo[d] = s
-                        phi[d] = min(s + m[d] - 1, hi)
-                        next_pieces.append(Box(IntVect(plo), IntVect(phi), p.ixtype))
-                pieces = next_pieces
-            out.extend(pieces)
-        return BoxArray(out, self.ixtype, validate=False)
+        b = self._bounds
+        cuts = -(-(b[:, 1] - b[:, 0] + 1) // m)  # (N, D) pieces per dimension
+        count = cuts.prod(axis=1)
+        box = np.repeat(np.arange(len(self)), count)
+        rank = np.arange(box.shape[0]) - np.repeat(np.cumsum(count) - count, count)
+        lo = np.empty((box.shape[0], self.dim), dtype=np.int64)
+        for d in reversed(range(self.dim)):
+            rank, k = np.divmod(rank, cuts[box, d])
+            lo[:, d] = b[box, 0, d] + k * m[d]
+        hi = np.minimum(lo + m - 1, b[box, 1])
+        return BoxArray(np.stack([lo, hi], axis=1), self.ixtype, validate=False)
 
     def prune(self, fully_covered):
         """Drop boxes for which the predicate is true; survivor order kept."""
@@ -202,22 +227,13 @@ class BoxArray:
 
     def _get_hash(self):
         if self._hash is None:
-            bounds = self.bounds()
             with self._hash_lock:
                 if self._hash is None:
-                    object.__setattr__(self, "_hash", BoxHash(bounds))
+                    object.__setattr__(self, "_hash", BoxHash(self._bounds))
         return self._hash
 
     def bounds(self):
         """Read-only (N, 2, D) int64 array: row i holds box i's lo and hi."""
-        if self._bounds is None:
-            with self._hash_lock:
-                if self._bounds is None:
-                    arr = np.array(
-                        [(b.lo, b.hi) for b in self.boxes], dtype=np.int64
-                    ).reshape(len(self.boxes), 2, self.dim)
-                    arr.flags.writeable = False
-                    object.__setattr__(self, "_bounds", arr)
         return self._bounds
 
     def intersections(self, q):
@@ -231,7 +247,7 @@ class BoxArray:
         if isinstance(q, Box):
             if q.ixtype != self.ixtype:
                 raise ValueError("index type mismatch")
-            if q.is_empty() or not self.boxes:
+            if q.is_empty() or not len(self):
                 return []
             out = []
             for i in self._get_hash().candidates(q):
@@ -242,7 +258,7 @@ class BoxArray:
         # (D, M) corners: per-dimension rows keep every step a 1-D numpy op
         q = np.asarray(q, dtype=np.int64).reshape(-1, 2, self.dim)
         lo, hi = np.ascontiguousarray(q.transpose(1, 2, 0))
-        if not self.boxes or not q.shape[0]:
+        if not len(self) or not q.shape[0]:
             none = np.zeros(0, dtype=np.int64)
             return none, none, q[:0, 0], q[:0, 1]
         query, box = self._get_hash().meeting(lo, hi)
@@ -258,7 +274,7 @@ class BoxArray:
         (nodal layouts), the lowest containing index wins.
         """
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, self.dim)
-        if not self.boxes or not cells.shape[0]:
+        if not len(self) or not cells.shape[0]:
             return np.full(cells.shape[0], -1, dtype=np.int64)
         return self._get_hash().owners(np.ascontiguousarray(cells.T))
 

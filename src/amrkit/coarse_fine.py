@@ -287,17 +287,14 @@ class FluxRegister:
         self.fine_ba = fine_ba
         self.cba = coarsened_layout(fine_ba, self.ratio)
         self.dim = fine_ba.dim
-        slabs = []
-        for fc in self.cba:
-            for d in range(self.dim):
-                for cell in (fc.lo[d] - 1, fc.hi[d] + 1):
-                    lo = list(fc.lo)
-                    hi = list(fc.hi)
-                    lo[d] = hi[d] = cell
-                    slabs.append(Box(IntVect(lo), IntVect(hi)))
+        # per coarse box, dimension and side: the one-cell slab outside it
+        b, dim = self.cba.bounds(), self.dim
+        slabs = np.repeat(b, 2 * dim, axis=0).reshape(len(b), dim, 2, 2, dim)
+        for d in range(dim):
+            slabs[:, d, :, 0, d] = slabs[:, d, :, 1, d] = b[:, :, d] + [-1, 1]
         owners = [fine_dm[k] for k in range(len(fine_ba)) for _ in range(2 * self.dim)]
         self.reg = FabArray(
-            BoxArray(slabs, IndexType.cell(self.dim), validate=False),
+            BoxArray(slabs.reshape(-1, 2, dim), validate=False),
             DistributionMapping(owners, fine_dm.nranks),
             self.ncomp,
         )

@@ -65,7 +65,8 @@ class DistributionMapping:
 
 def default_costs(ba):
     """Cost proportional to cells per box, the standard work estimate."""
-    return np.array([float(b.num_cells()) for b in ba], dtype=np.float64)
+    b = ba.bounds()
+    return (b[:, 1] - b[:, 0] + 1).prod(axis=1).astype(np.float64)
 
 
 def _key_bits(dim):

@@ -308,14 +308,12 @@ class ParticleContainer:
         token = (level, ba.uid, self.tile_size.coords)
 
         def build():
-            boxes, keys = [], []
-            for g in range(len(ba)):
-                counts = _tile_counts(ba[g], self.tile_size)
-                ntiles = int(np.prod(counts))
-                for tid in range(ntiles):
-                    boxes.append(tile_box_of(ba[g], self.tile_size, tid))
-                    keys.append((g, tid))
-            return BoxArray(boxes, validate=False), np.array(keys, dtype=np.int64)
+            # max_size chops each grid from its lo corner in tile id order
+            b = ba.bounds()
+            ntiles = (-(-(b[:, 1] - b[:, 0] + 1) // self.tile_size)).prod(axis=1)
+            grid = np.repeat(np.arange(len(ba)), ntiles)
+            tid = np.arange(grid.shape[0]) - np.repeat(np.cumsum(ntiles) - ntiles, ntiles)
+            return ba.max_size(self.tile_size), np.stack([grid, tid], axis=1)
 
         return self._layouts.cached(token, ba, build)
 

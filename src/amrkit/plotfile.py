@@ -7,12 +7,15 @@ Directory layout (full byte layout in FORMAT.md):
     <path>/particles/Header    ASCII particle schema + tile table
     <path>/particles/data.bin  binary particle records
 
-Every record's byte offset is computed before any data is written, so the
-file contents depend only on the data and never on write interleaving.
-Records are packed in box order, which is the byte layout of an ngrow=0
-FabArray arena, so a level reads back with one readinto.  A plotfile's
-or checkpoint's Header is written after everything it describes, so a
-failed or interrupted write leaves no readable Header.
+Records are each box's valid values, comp-major float64, packed in box
+order: the bytes of an ngrow=0 FabArray arena.  The writer snapshots each
+level once and writes every record as a slice of it at an offset fixed in
+advance, so file bytes never depend on write interleaving; the reader
+fills an arena with one readinto.  The Header's box lines are formatted
+from, and parsed back into, one int table of bounds, offsets and sizes.
+A plotfile or checkpoint is built in a fresh <path>.partial, Header last,
+then renamed into place, so a failed write leaves the previous output
+whole (FORMAT.md says under which name at every instant).
 Static mode writes rank by rank in ceil(R/nwriters) waves with nwriters
 live at once; async mode snapshots the data, hands it to one background
 writer thread (bounded queue of one, so a second call blocks until the
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import os
 import queue
+import shutil
 import sys
 import threading
 
@@ -33,7 +37,7 @@ from .amr_core import Geometry
 from .boxarray import BoxArray
 from .distribution import DistributionMapping
 from .fabarray import FabArray
-from .index_space import Box, IntVect
+from .index_space import Box, IndexType, IntVect
 
 PLOTFILE_TAG = "amrkit-plotfile-1"
 PARTICLE_TAG = "amrkit-particles-1"
@@ -152,22 +156,12 @@ def _fmt_ints(values):
     return " ".join(str(int(v)) for v in values)
 
 
-def _box_token(b):
-    return _fmt_ints(b.lo.coords + b.hi.coords)
-
-
-def _parse_box(parts, dim):
-    lo = IntVect(int(x) for x in parts[:dim])
-    hi = IntVect(int(x) for x in parts[dim : 2 * dim])
-    return Box(lo, hi)
-
-
-def _record_layout(mesh):
+def _record_layout(ba, ncomp):
     """(offsets, nbytes, total): comp-major float64 of each box's valid
     region, packed in box order."""
-    bounds = mesh.ba.bounds()
-    sizes = 8 * mesh.ncomp * (bounds[:, 1] - bounds[:, 0] + 1).prod(axis=1)
-    return (np.cumsum(sizes) - sizes).tolist(), sizes.tolist(), int(sizes.sum())
+    bounds = ba.bounds()
+    sizes = 8 * ncomp * (bounds[:, 1] - bounds[:, 0] + 1).prod(axis=1)
+    return np.cumsum(sizes) - sizes, sizes, int(sizes.sum())
 
 
 def _header_text(header, meshes):
@@ -184,19 +178,18 @@ def _header_text(header, meshes):
         "prob_hi " + _fmt_floats(header.geoms[0].prob_hi),
         "periodic " + _fmt_ints(header.geoms[0].periodic),
     ]
+    row = "box" + " %d" * (2 * dim + 2)
     for lev, mesh in enumerate(meshes):
         geom = header.geoms[lev]
-        offsets, sizes, total = _record_layout(mesh)
+        offsets, sizes, _ = _record_layout(mesh.ba, mesh.ncomp)
+        n = len(mesh.ba)
         lines.append(f"level {lev}")
-        lines.append("domain " + _box_token(geom.domain))
+        lines.append("domain " + _fmt_ints((*geom.domain.lo, *geom.domain.hi)))
         lines.append("cell_size " + _fmt_floats(geom.cell_size))
-        lines.append(f"nboxes {len(mesh.ba)}")
-        for i in range(len(mesh.ba)):
-            lines.append(
-                "box "
-                + _box_token(mesh.ba[i])
-                + f" {offsets[i]} {sizes[i]}"
-            )
+        lines.append(f"nboxes {n}")
+        # one row per box: lo, hi, record offset and size
+        table = np.column_stack([mesh.ba.bounds().reshape(n, 2 * dim), offsets, sizes])
+        lines.extend(row % tuple(r) for r in table.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -205,15 +198,16 @@ def _header_text(header, meshes):
 # ---------------------------------------------------------------------------
 
 
-def _write_level_records(
-    fname, mesh_arrays, owners, offsets, sizes, total, nwriters, nranks
-):
-    """Rank-by-rank positioned writes in waves of at most nwriters; a
-    writer thread's exception is re-raised once its wave has joined."""
-    fd = os.open(fname, os.O_CREAT | os.O_WRONLY | os.O_TRUNC)
+def _write_level_records(fname, level, nwriters):
+    """Rank-by-rank positioned writes of the records of one level's packed
+    snapshot, in waves of at most nwriters; a writer thread's exception is
+    re-raised once its wave has joined."""
+    snapshot, owners, offsets, sizes, nranks = level
+    data = memoryview(snapshot).cast("B")
+    fd = os.open(fname, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     try:
-        if total:
-            os.pwrite(fd, b"\0", total - 1)  # size the file up front
+        if data.nbytes:
+            os.pwrite(fd, b"\0", data.nbytes - 1)  # size the file up front
         active = [0]
         gauge = threading.Lock()
         errors = {}
@@ -224,17 +218,10 @@ def _write_level_records(
                 counters.peak("io_peak_writers", active[0])
             try:
                 barrier.wait()  # the whole wave is live before anyone writes
-                for i, r in enumerate(owners):
-                    if r != rank:
-                        continue
-                    buf = np.ascontiguousarray(mesh_arrays[i]).astype(
-                        "<f8", copy=False
-                    )
-                    data = buf.tobytes()
-                    if len(data) != sizes[i]:
-                        raise IOError(f"record {i} size mismatch in {fname}")
-                    os.pwrite(fd, data, offsets[i])
-                    counters.incr("io_bytes_written", len(data))
+                for i in np.flatnonzero(owners == rank).tolist():
+                    at, n = offsets[i], sizes[i]
+                    os.pwrite(fd, data[at : at + n], at)
+                    counters.incr("io_bytes_written", n)
             except Exception as exc:  # re-raised by the joining thread
                 errors[rank] = exc
             finally:
@@ -259,55 +246,61 @@ def _write_level_records(
         os.close(fd)
 
 
-def _remove_header(path):
-    """Drop a Header left by an earlier write, before new data goes in."""
-    try:
-        os.remove(os.path.join(path, "Header"))
-    except FileNotFoundError:
-        pass
+def _publish(path, fill):
+    """Build a complete output with fill(<path>.partial), then swap it in:
+    <path> becomes <path>.old, <path>.partial becomes <path>, and
+    <path>.old is deleted.  What an earlier write left is cleared first,
+    except a <path>.old standing in for a missing <path> (that write
+    stopped between its renames): it becomes <path> again."""
+    partial, old = path + ".partial", path + ".old"
+    if os.path.exists(old) and not os.path.exists(path):
+        os.rename(old, path)
+    for stale in (old, partial):
+        if os.path.exists(stale):
+            shutil.rmtree(stale)
+    os.makedirs(partial)
+    fill(partial)
+    replace = os.path.isdir(path)  # a file at <path> fails the rename below
+    if replace:
+        os.rename(path, old)
+    os.rename(partial, path)
+    if replace:
+        shutil.rmtree(old)
 
 
-def _write_plotfile_now(path, header_text, level_payloads, nwriters):
-    # the Header goes last: a failed or interrupted write leaves none
-    os.makedirs(path, exist_ok=True)
-    _remove_header(path)
-    for lev, (arrays, owners, offsets, sizes, total, nranks) in enumerate(
-        level_payloads
-    ):
-        d = os.path.join(path, f"Level_{lev}")
-        os.makedirs(d, exist_ok=True)
-        _write_level_records(
-            os.path.join(d, "data.bin"),
-            arrays,
-            owners,
-            offsets,
-            sizes,
-            total,
-            nwriters,
-            nranks,
-        )
-    with open(os.path.join(path, "Header"), "w") as fh:
-        fh.write(header_text)
+def _plotfile_writer(meshes, header, mode):
+    """Snapshot the meshes now; returns fill(directory), which writes the
+    plotfile into that fresh directory, Header last."""
+    if len(meshes) != header.nlevels:
+        raise ValueError("one mesh FabArray per header level required")
+    header_text = _header_text(header, meshes)
+    levels = []
+    for mesh in meshes:
+        # the packed records are the valid values in ngrow=0 arena order
+        snapshot = mesh.valid_values()
+        snapshot = snapshot.astype("<f8", copy=snapshot is mesh.arena)
+        offsets, sizes, _ = _record_layout(mesh.ba, mesh.ncomp)
+        owners = np.array(mesh.dm.owner, dtype=np.int64)
+        levels.append((snapshot, owners, offsets.tolist(), sizes.tolist(), mesh.dm.nranks))
+    nwriters = mode.nwriters if mode.kind == "static" else 1
+
+    def fill(path):
+        for lev, level in enumerate(levels):
+            os.mkdir(os.path.join(path, f"Level_{lev}"))
+            _write_level_records(os.path.join(path, f"Level_{lev}", "data.bin"), level, nwriters)
+        with open(os.path.join(path, "Header"), "w") as fh:
+            fh.write(header_text)
+
+    return fill
 
 
 def write_plotfile(path, meshes, header, mode=None, transport=None):
     """Write one plotfile; returns a WriteHandle (already done when static)."""
-    if mode is None:
-        mode = OutputMode.static(1)
-    if len(meshes) != header.nlevels:
-        raise ValueError("one mesh FabArray per header level required")
-    header_text = _header_text(header, meshes)
-    payloads = []
-    for mesh in meshes:
-        offsets, sizes, total = _record_layout(mesh)
-        arrays = [mesh.fab(i).valid().copy() for i in range(len(mesh.ba))]
-        owners = [mesh.dm[i] for i in range(len(mesh.ba))]
-        payloads.append((arrays, owners, offsets, sizes, total, mesh.dm.nranks))
+    mode = OutputMode.static(1) if mode is None else mode
+    fill = _plotfile_writer(meshes, header, mode)
     if mode.kind == "async":
-        return _async_writer.submit(
-            lambda: _write_plotfile_now(path, header_text, payloads, 1)
-        )
-    _write_plotfile_now(path, header_text, payloads, mode.nwriters)
+        return _async_writer.submit(lambda: _publish(path, fill))
+    _publish(path, fill)
     handle = WriteHandle()
     handle._finish()
     return handle
@@ -348,28 +341,32 @@ def read_plotfile(path, nranks=1):
     prob_hi = [float(x) for x in rd.next("prob_hi")[1:]]
     periodic = [bool(int(x)) for x in rd.next("periodic")[1:]]
     geoms, meshes = [], []
+    ncol = 2 * dim + 3
     for lev in range(nlevels):
         rd.next("level")
-        dom = _parse_box(rd.next("domain")[1:], dim)
+        dom = rd.next("domain")[1:]
         rd.next("cell_size")
         nboxes = int(rd.next("nboxes")[1])
-        boxes, offs, sizes = [], [], []
-        for _ in range(nboxes):
-            parts = rd.next("box")[1:]
-            boxes.append(_parse_box(parts, dim))
-            offs.append(int(parts[2 * dim]))
-            sizes.append(int(parts[2 * dim + 1]))
-        geom = Geometry(dom, prob_lo, prob_hi, periodic)
-        geoms.append(geom)
-        ba = BoxArray(boxes)
+        # the box lines as one int table: lo, hi, record offset and size
+        lines = rd.lines[rd.at : rd.at + nboxes]
+        words = " ".join(lines).split()
+        if len(words) != nboxes * ncol or words[::ncol] != ["box"] * nboxes:
+            bad = [ln for ln in lines if ln.split()[:1] != ["box"] or len(ln.split()) != ncol]
+            raise ValueError(f"malformed header: wanted {nboxes} box lines, got {bad[:1]!r}")
+        rd.at += nboxes
+        del words[::ncol]
+        table = np.array(words, dtype=np.int64).reshape(nboxes, ncol - 1)
+        domain = Box(IntVect(dom[:dim]), IntVect(dom[dim : 2 * dim]))
+        geoms.append(Geometry(domain, prob_lo, prob_hi, periodic))
+        ba = BoxArray(table[:, : 2 * dim].reshape(nboxes, 2, dim), IndexType.cell(dim))
         dm = (
             DistributionMapping.single_rank(len(ba))
             if nranks == 1
             else DistributionMapping([i % nranks for i in range(len(ba))], nranks)
         )
         mesh = FabArray(ba, dm, ncomp=len(names), ngrow=0)
-        want_offs, want_sizes, total = _record_layout(mesh)
-        if offs != want_offs or sizes != want_sizes:
+        offsets, sizes, total = _record_layout(ba, mesh.ncomp)
+        if not (np.array_equal(table[:, -2], offsets) and np.array_equal(table[:, -1], sizes)):
             raise ValueError(f"level {lev}: records are not packed in box order")
         # packed comp-major records in box order are the ngrow=0 arena's bytes
         fname = os.path.join(path, f"Level_{lev}", "data.bin")
@@ -492,7 +489,7 @@ def write_checkpoint(
     path, meshes, header, step, user_blob=b"", pc=None, mode=None, transport=None
 ):
     """Hierarchy metadata + level data + opaque payload, restart-complete."""
-    os.makedirs(path, exist_ok=True)
+    mode = OutputMode.static(1) if mode is None else mode
     lines = [
         CHECKPOINT_TAG,
         f"step {int(step)}",
@@ -504,16 +501,19 @@ def write_checkpoint(
         lines.append(f"owners {lev} " + _fmt_ints(mesh.dm))
     lines.append(f"blob {len(user_blob)}")
     lines.append(f"particles {1 if pc is not None else 0}")
-    # the Header goes last: a failed or interrupted write leaves none
-    _remove_header(path)
-    with open(os.path.join(path, "blob.bin"), "wb") as fh:
-        fh.write(user_blob)
-    handle = write_plotfile(os.path.join(path, "mesh"), meshes, header, mode, transport)
-    handle.wait()
-    if pc is not None:
-        write_particles(os.path.join(path, "particles"), pc)
-    with open(os.path.join(path, "Header"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fill_mesh = _plotfile_writer(meshes, header, mode)
+
+    def fill(path):
+        with open(os.path.join(path, "blob.bin"), "wb") as fh:
+            fh.write(user_blob)
+        os.mkdir(os.path.join(path, "mesh"))
+        fill_mesh(os.path.join(path, "mesh"))
+        if pc is not None:
+            write_particles(os.path.join(path, "particles"), pc)
+        with open(os.path.join(path, "Header"), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    _publish(path, fill)
 
 
 def read_checkpoint(path):

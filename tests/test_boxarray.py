@@ -212,3 +212,114 @@ def test_uid_changes_with_layout():
     c = BoxArray([Box(IntVect(0, 0), IntVect(4, 3))])
     assert a.uid != c.uid
     assert a.uid != b.uid  # identity, not structural equality
+
+
+# -- the bounds array as storage -------------------------------------------------
+
+
+def _random_layout(rng, dim):
+    n = int(rng.integers(6, 30))
+    lo = [int(rng.integers(-9, 9)) for _ in range(dim)]
+    domain = Box(IntVect(lo), IntVect([l + n - 1 for l in lo]))
+    return random_cover(rng, domain, nsplits=int(rng.integers(0, 12)))
+
+
+def test_array_form_matches_box_form(rng):
+    for trial in range(45):
+        dim = trial % 3 + 1
+        ba = _random_layout(rng, dim)
+        boxes = list(ba)
+        arr = BoxArray(np.array([[list(b.lo), list(b.hi)] for b in boxes]))
+        assert arr.ixtype == ba.ixtype == IndexType.cell(dim)
+        assert arr == ba and hash(arr) == hash(ba)
+        assert arr.bounds().tolist() == ba.bounds().tolist()
+        assert not arr.bounds().flags.writeable
+        assert len(arr) == len(boxes)
+        assert [arr[i] for i in range(len(arr))] == boxes
+        assert list(arr) == boxes and arr.boxes == tuple(boxes)
+        assert arr[0] is arr[0]  # made once, then kept
+        assert arr.num_cells() == sum(b.num_cells() for b in boxes)
+        assert isinstance(arr.num_cells(), int)
+        assert arr.minimal_box() == ba.minimal_box()
+        assert arr.dump() == ba.dump()
+        other = BoxArray(boxes[::-1])
+        assert (other == arr) == (len(boxes) == 1)  # order is identity
+    empty = BoxArray(np.zeros((0, 2, 2), dtype=np.int64))
+    assert len(empty) == 0 and empty.num_cells() == 0
+    assert empty.minimal_box().is_empty()
+    assert empty == BoxArray([], IndexType.cell(2))
+
+
+def test_array_form_validate_names_lowest_overlapping_pair():
+    boxes = [
+        Box(IntVect(0, 0), IntVect(7, 7)),
+        Box(IntVect(20, 20), IntVect(23, 23)),
+        Box(IntVect(6, 6), IntVect(9, 9)),
+        Box(IntVect(-2, -2), IntVect(1, 1)),
+    ]
+    messages = []
+    for form in (boxes, np.array([[list(b.lo), list(b.hi)] for b in boxes])):
+        with pytest.raises(ValueError, match="boxes 0 and 2 overlap") as info:
+            BoxArray(form)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_empty_box_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        BoxArray(np.array([[[0, 0], [3, 3]], [[4, 0], [3, 3]]]))
+    with pytest.raises(ValueError, match="empty"):
+        BoxArray([Box(IntVect(0, 0), IntVect(3, 3)), Box.empty(2)])
+    with pytest.raises(ValueError):
+        BoxArray(np.zeros((2, 3, 2), dtype=np.int64))  # not (N, 2, D)
+
+
+def test_array_form_convert_node_skips_disjointness():
+    ba = BoxArray(np.array([[[0, 0], [3, 3]], [[4, 0], [7, 3]]]))
+    nodal = ba.convert(IndexType.node(2))
+    assert nodal.bounds().tolist() == [[[0, 0], [4, 4]], [[4, 0], [8, 4]]]
+    assert nodal[0].intersects(nodal[1])
+    assert nodal.convert(IndexType.cell(2)) == ba
+    face = ba.convert(IndexType.face(2, 1))
+    assert list(face) == [b.convert(IndexType.face(2, 1)) for b in ba]
+
+
+def _max_size_box_loop(ba, m):
+    """Chop box by box, dimension 0 outermost, with Box objects."""
+    out = []
+    for b in ba:
+        pieces = [b]
+        for d in range(b.dim):
+            nxt = []
+            for p in pieces:
+                for s in range(p.lo[d], p.hi[d] + 1, m[d]):
+                    lo, hi = list(p.lo), list(p.hi)
+                    lo[d], hi[d] = s, min(s + m[d] - 1, p.hi[d])
+                    nxt.append(Box(IntVect(lo), IntVect(hi), p.ixtype))
+            pieces = nxt
+        out.extend(pieces)
+    return out
+
+
+def test_layout_surgery_matches_box_loop(rng):
+    for trial in range(60):
+        dim = trial % 3 + 1
+        ba = _random_layout(rng, dim)
+        m = IntVect([int(rng.integers(1, 7)) for _ in range(dim)])
+        got = ba.max_size(m)
+        assert list(got) == _max_size_box_loop(ba, m)
+        assert got.num_cells() == ba.num_cells()
+        scalar = int(rng.integers(1, 7))
+        assert list(ba.max_size(scalar)) == _max_size_box_loop(ba, IntVect([scalar] * dim))
+        r = IntVect([int(rng.integers(1, 5)) for _ in range(dim)])
+        assert list(ba.refine(r)) == [b.refine(r) for b in ba]
+        assert list(ba.coarsen(r)) == [b.coarsen(r) for b in ba]
+        assert ba.coarsenable(r) == all(b.coarsen(r).refine(r) == b for b in ba)
+        assert ba.refine(r).coarsenable(r)
+        assert ba.refine(r).coarsen(r) == ba
+    with pytest.raises(ValueError):
+        ba.max_size(0)
+    with pytest.raises(ValueError):
+        ba.refine(0)
+    with pytest.raises(ValueError):
+        ba.convert(IndexType.node(dim)).refine(2)

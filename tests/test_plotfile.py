@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from amrkit import counters
+from amrkit import counters, plotfile
 from amrkit.advect import (
     AdvectionSolver,
     load_solver_checkpoint,
@@ -18,7 +18,7 @@ from amrkit.advect import (
 )
 from amrkit.amr_core import Geometry, GridGenParams
 from amrkit.boxarray import BoxArray
-from amrkit.distribution import default_costs, sfc_distribute
+from amrkit.distribution import DistributionMapping, default_costs, sfc_distribute
 from amrkit.fabarray import FabArray, gather_global
 from amrkit.index_space import Box, IntVect
 from amrkit.particles import ParticleContainer, redistribute
@@ -33,6 +33,8 @@ from amrkit.plotfile import (
     write_particles,
     write_plotfile,
 )
+
+from conftest import random_cover
 
 
 def _dir_digest(path):
@@ -210,24 +212,64 @@ def _four_boxes_on_two_ranks():
     return fa, header
 
 
-@pytest.mark.parametrize("target", ["plotfile", "checkpoint"])
-@pytest.mark.parametrize(
-    "mode", [OutputMode.static(2), OutputMode.asynchronous()], ids=["static2", "async"]
-)
-def test_failed_write_leaves_no_readable_header(tmp_path, monkeypatch, mode, target):
-    # the Header is written last, so a write whose data failed cannot be
-    # read back as zeros; a rewrite over a good one drops the old Header
+MODES = [OutputMode.static(1), OutputMode.static(2), OutputMode.asynchronous()]
+MODE_IDS = ["static1", "static2", "async"]
+
+
+def _writer(target, path, fa, header, mode):
+    if target == "plotfile":
+        return lambda: write_plotfile(path, [fa], header, mode).wait()
+    return lambda: write_checkpoint(path, [fa], header, step=1, user_blob=b"blob", mode=mode)
+
+
+def _read_values(target, path):
+    """The values a reader returns for the one level, or None where it raises."""
+    try:
+        if target == "plotfile":
+            mesh = read_plotfile(path)[1][0]
+        else:
+            mesh = read_checkpoint(path)["meshes"][0]
+    except (OSError, ValueError):
+        return None
+    return mesh.arena
+
+
+def _interrupted_write(tmp_path, monkeypatch, mode, target, *injects):
+    """Write a good output of ones, then rewrites of twos, each under the
+    fault that one of injects(monkeypatch, path) sets up.  Each rewrite
+    must raise and leave the ones whole: under <path>, or, with <path>
+    unreadable, under <path>.old.  No name may read back as anything but
+    ones or twos."""
     fa, header = _four_boxes_on_two_ranks()
     path = str(tmp_path / target)
-    write, read = {
-        "plotfile": (lambda: write_plotfile(path, [fa], header, mode).wait(), read_plotfile),
-        "checkpoint": (
-            lambda: write_checkpoint(path, [fa], header, step=1, mode=mode),
-            read_checkpoint,
-        ),
-    }[target]
-    write()
-    read(path)
+    _writer(target, path, fa, header, mode)()
+    before = _dir_digest(path)
+    twos = FabArray(fa.ba, fa.dm, 1, 0).setval(2.0)
+    for inject in injects:
+        with monkeypatch.context() as m:
+            inject(m, path)
+            with pytest.raises(OSError):
+                _writer(target, path, twos, header, mode)()
+        if os.path.exists(path):
+            assert _dir_digest(path) == before
+            assert np.array_equal(_read_values(target, path), fa.arena)
+        else:
+            assert _read_values(target, path) is None
+            assert _dir_digest(path + ".old") == before
+        for name in (path, path + ".old", path + ".partial"):
+            got = _read_values(target, name)
+            assert got is None or set(np.unique(got).tolist()) in ({1.0}, {2.0})
+    # the next write clears what the failed one left and lands whole
+    _writer(target, path, twos, header, mode)()
+    assert np.array_equal(_read_values(target, path), twos.arena)
+    assert not os.path.exists(path + ".partial") and not os.path.exists(path + ".old")
+    fresh = str(tmp_path / "fresh")
+    _writer(target, fresh, twos, header, mode)()
+    assert _dir_digest(path) == _dir_digest(fresh)
+    return path
+
+
+def _fail_third_pwrite(m, path):
     real = os.pwrite
     lock = threading.Lock()
     calls = []
@@ -240,13 +282,97 @@ def test_failed_write_leaves_no_readable_header(tmp_path, monkeypatch, mode, tar
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return real(fd, data, offset)
 
-    monkeypatch.setattr(os, "pwrite", pwrite)
-    with pytest.raises(OSError):
-        write()
-    monkeypatch.setattr(os, "pwrite", real)
-    assert not os.path.exists(os.path.join(path, "Header"))
-    with pytest.raises(OSError):
-        read(path)
+    m.setattr(os, "pwrite", pwrite)
+
+
+@pytest.mark.parametrize("target", ["plotfile", "checkpoint"])
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+def test_failed_write_leaves_no_readable_header(tmp_path, monkeypatch, mode, target):
+    # a failed pwrite leaves its own output without a Header, so it cannot
+    # be read back as zeros, and the previous output stays whole
+    path = _interrupted_write(tmp_path, monkeypatch, mode, target, _fail_third_pwrite)
+    assert not os.path.exists(os.path.join(path + ".partial", "Header"))
+
+
+def _fail_header(m, path):
+    # a crash after the data, before the output's own Header
+    def fake_open(name, *args, **kwargs):
+        if name == os.path.join(path + ".partial", "Header"):
+            raise OSError(errno.EIO, "interrupted before the Header")
+        return open(name, *args, **kwargs)
+
+    m.setattr(plotfile, "open", fake_open, raising=False)
+
+
+def _fail_second_rename(m, path):
+    # a crash after <path> became <path>.old, before <path>.partial became <path>
+    real = os.rename
+    calls = []
+
+    def rename(src, dst):
+        calls.append(src)
+        if len(calls) == 2:
+            raise OSError(errno.EIO, "interrupted between the renames")
+        return real(src, dst)
+
+    m.setattr(os, "rename", rename)
+
+
+@pytest.mark.parametrize("target", ["plotfile", "checkpoint"])
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+@pytest.mark.parametrize("fault", ["header", "rename"])
+def test_interrupted_write_keeps_previous_output(tmp_path, monkeypatch, fault, mode, target):
+    inject = {"header": _fail_header, "rename": _fail_second_rename}[fault]
+    # a second failure, after the first left its debris, must keep the
+    # previous output too
+    _interrupted_write(tmp_path, monkeypatch, mode, target, inject, _fail_third_pwrite)
+
+
+def test_rename_crash_leaves_previous_output_in_old(tmp_path, monkeypatch):
+    fa, header = _four_boxes_on_two_ranks()
+    path = str(tmp_path / "plt")
+    write_plotfile(path, [fa], header).wait()
+    before = _dir_digest(path)
+    twos = FabArray(fa.ba, fa.dm, 1, 0).setval(2.0)
+    with monkeypatch.context() as m:
+        _fail_second_rename(m, path)
+        with pytest.raises(OSError):
+            write_plotfile(path, [twos], header).wait()
+    # the new output was complete; only the swap was cut short
+    assert not os.path.exists(path)
+    assert _dir_digest(path + ".old") == before
+    assert np.array_equal(_read_values("plotfile", path + ".partial"), twos.arena)
+
+
+@pytest.mark.parametrize("target", ["plotfile", "checkpoint"])
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+def test_stale_partial_and_old_are_cleared(tmp_path, mode, target):
+    fa, header = _four_boxes_on_two_ranks()
+    path = str(tmp_path / target)
+    fresh = str(tmp_path / "fresh")
+    _writer(target, fresh, fa, header, mode)()
+    # junk where an earlier crash could leave it: a partial output with a
+    # Header and an oversized level file, and an old output beside <path>
+    for stale in (path + ".partial", path + ".old", path):
+        os.makedirs(os.path.join(stale, "Level_0"))
+        with open(os.path.join(stale, "Level_0", "data.bin"), "wb") as fh:
+            fh.write(b"\xff" * 10_000)
+        with open(os.path.join(stale, "Header"), "w") as fh:
+            fh.write("stale\n")
+    _writer(target, path, fa, header, mode)()
+    assert _dir_digest(path) == _dir_digest(fresh)
+    assert sorted(os.listdir(tmp_path)) == sorted(["fresh", target])
+
+
+def test_write_over_a_file_raises_and_keeps_it(tmp_path):
+    fa, header = _four_boxes_on_two_ranks()
+    path = tmp_path / "plt"
+    path.write_text("not an output")
+    for _ in range(2):
+        with pytest.raises(OSError):
+            write_plotfile(str(path), [fa], header).wait()
+        assert path.read_text() == "not an output"
+        assert not os.path.exists(str(path) + ".old")
 
 
 def test_truncated_level_data_raises(rng, tmp_path):
@@ -276,6 +402,167 @@ def test_unpacked_record_layout_raises(rng, tmp_path):
     open(hdr, "w").write("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="packed"):
         read_plotfile(path)
+
+
+# -- the Box-loop reference: Header lines from Box objects, per-box payload --
+
+
+def _fmt_ints(values):
+    return " ".join(str(int(v)) for v in values)
+
+
+def _fmt_floats(values):
+    return " ".join(repr(float(v)) for v in values)
+
+
+def _box_token(b):
+    return _fmt_ints(b.lo.coords + b.hi.coords)
+
+
+def _parse_box(parts, dim):
+    lo = IntVect(int(x) for x in parts[:dim])
+    hi = IntVect(int(x) for x in parts[dim : 2 * dim])
+    return Box(lo, hi)
+
+
+def _records_box_loop(mesh):
+    offsets, sizes, at = [], [], 0
+    for b in mesh.ba:
+        offsets.append(at)
+        sizes.append(8 * mesh.ncomp * b.num_cells())
+        at += sizes[-1]
+    return offsets, sizes
+
+
+def _header_text_box_loop(header, meshes):
+    g = header.geoms[0]
+    lines = [
+        "amrkit-plotfile-1",
+        "endian little",
+        "real float64",
+        f"time {header.time!r}",
+        f"dim {g.dim}",
+        f"nlevels {header.nlevels}",
+        f"components {len(header.names)} " + " ".join(header.names),
+        "prob_lo " + _fmt_floats(g.prob_lo),
+        "prob_hi " + _fmt_floats(g.prob_hi),
+        "periodic " + _fmt_ints(g.periodic),
+    ]
+    for lev, mesh in enumerate(meshes):
+        geom = header.geoms[lev]
+        offsets, sizes = _records_box_loop(mesh)
+        lines.append(f"level {lev}")
+        lines.append("domain " + _box_token(geom.domain))
+        lines.append("cell_size " + _fmt_floats(geom.cell_size))
+        lines.append(f"nboxes {len(mesh.ba)}")
+        for i in range(len(mesh.ba)):
+            lines.append("box " + _box_token(mesh.ba[i]) + f" {offsets[i]} {sizes[i]}")
+    return "\n".join(lines) + "\n"
+
+
+def _write_plotfile_box_loop(path, meshes, header):
+    """The plotfile written box by box: each record a copy of one Fab's
+    valid region, in box order."""
+    os.makedirs(path)
+    for lev, mesh in enumerate(meshes):
+        os.makedirs(os.path.join(path, f"Level_{lev}"))
+        with open(os.path.join(path, f"Level_{lev}", "data.bin"), "wb") as fh:
+            for i in range(len(mesh.ba)):
+                fh.write(mesh.fab(i).valid().copy().astype("<f8").tobytes())
+    with open(os.path.join(path, "Header"), "w") as fh:
+        fh.write(_header_text_box_loop(header, meshes))
+
+
+def _read_plotfile_box_loop(path):
+    """The plotfile read line by line into Boxes, the layout built from them."""
+    with open(os.path.join(path, "Header")) as fh:
+        lines = fh.read().splitlines()
+    dim, nlevels = int(lines[4].split()[1]), int(lines[5].split()[1])
+    names = lines[6].split()[2:]
+    at, out = 10, []
+    for lev in range(nlevels):
+        domain = _parse_box(lines[at + 1].split()[1:], dim)
+        nboxes = int(lines[at + 3].split()[1])
+        boxes = [_parse_box(ln.split()[1:], dim) for ln in lines[at + 4 : at + 4 + nboxes]]
+        at += 4 + nboxes
+        ba = BoxArray(boxes)
+        mesh = FabArray(ba, DistributionMapping.single_rank(len(ba)), len(names), 0)
+        with open(os.path.join(path, f"Level_{lev}", "data.bin"), "rb") as fh:
+            mesh.arena[...] = np.frombuffer(fh.read(), "<f8")
+        out.append((domain, mesh))
+    return out
+
+
+def _random_hierarchy(rng, dim, nlevels, ncomp, ngrow):
+    """Meshes whose arenas, ghost cells included, hold random values."""
+    n = int(rng.integers(6, 14))
+    lo = [int(rng.integers(-5, 5)) for _ in range(dim)]
+    domain = Box(IntVect(lo), IntVect([l + n - 1 for l in lo]))
+    geoms = [Geometry(domain, (0.0,) * dim, (1.5,) * dim, (True,) * dim)]
+    layouts = [random_cover(rng, domain, nsplits=int(rng.integers(0, 8)))]
+    if nlevels == 2:
+        geoms.append(geoms[0].refine(2))
+        region = Box(IntVect(lo), IntVect([l + n // 2 for l in lo])).refine(2)
+        layouts.append(random_cover(rng, region, nsplits=int(rng.integers(0, 8))))
+    meshes = []
+    for ba in layouts:
+        fa = FabArray(ba, sfc_distribute(ba, default_costs(ba), 3), ncomp, ngrow)
+        fa.arena[...] = rng.normal(size=fa.arena.shape)
+        meshes.append(fa)
+    names = [f"q{k}" for k in range(ncomp)]
+    return PlotfileHeader(float(rng.random()), names, geoms), meshes
+
+
+def test_plotfile_bytes_match_box_loop_reference(rng, tmp_path):
+    for trial in range(24):
+        dim, ngrow = trial % 3 + 1, trial // 3 % 3
+        nlevels, ncomp = trial % 2 + 1, int(rng.integers(1, 5))
+        header, meshes = _random_hierarchy(rng, dim, nlevels, ncomp, ngrow)
+        got, want = str(tmp_path / f"got{trial}"), str(tmp_path / f"want{trial}")
+        write_plotfile(got, meshes, header, MODES[trial % 3]).wait()
+        _write_plotfile_box_loop(want, meshes, header)
+        names = ["Header"] + [f"Level_{lev}/data.bin" for lev in range(nlevels)]
+        for name in names:
+            with open(os.path.join(got, name), "rb") as a, open(os.path.join(want, name), "rb") as b:
+                assert a.read() == b.read(), name
+        got_header, got_meshes = read_plotfile(got)
+        assert got_header.names == header.names and got_header.time == header.time
+        for lev, (domain, ref) in enumerate(_read_plotfile_box_loop(want)):
+            mesh = got_meshes[lev]
+            assert got_header.geoms[lev].domain == domain == header.geoms[lev].domain
+            assert mesh.ba == ref.ba == meshes[lev].ba
+            assert mesh.ba.bounds().tolist() == ref.ba.bounds().tolist()
+            assert list(mesh.ba) == list(ref.ba)
+            assert mesh.arena.tobytes() == ref.arena.tobytes()
+            assert mesh.arena.tobytes() == meshes[lev].valid_values().tobytes()
+
+
+@pytest.mark.parametrize("ngrow", [0, 1])
+def test_plotfile_io_makes_no_boxes(tmp_path, monkeypatch, ngrow):
+    # 512 boxes: the Header is formatted from and parsed into int arrays,
+    # and the payload is one snapshot, so only the read's domain is a Box
+    domain = Box(IntVect.zero(3), IntVect(31, 31, 31))
+    ba = BoxArray([domain]).max_size(4)
+    assert len(ba) == 512
+    fa = FabArray(ba, sfc_distribute(ba, default_costs(ba), 4), 2, ngrow)
+    fa.arena[...] = np.arange(fa.arena.shape[0])
+    header = PlotfileHeader(0.0, ["a", "b"], [Geometry(domain, (0.0,) * 3, (1.0,) * 3)])
+    real = Box.__init__
+    made = []
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Box, "__init__", counting_init)
+    path = str(tmp_path / "plt")
+    write_plotfile(path, [fa], header, OutputMode.static(2)).wait()
+    assert len(made) == 0
+    _, meshes = read_plotfile(path)
+    assert len(made) == 1
+    monkeypatch.setattr(Box, "__init__", real)
+    assert meshes[0].ba == ba
+    assert np.array_equal(meshes[0].arena, fa.valid_values())
 
 
 def test_async_queue_drains_in_order(rng, tmp_path):
