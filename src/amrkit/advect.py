@@ -222,19 +222,23 @@ class AdvectionSolver:
             geom = hier.geom(lev)
             vol = float(np.prod(geom.cell_size))
             fa = hier.field("phi", lev)
+            # each box's overlaps with the next level's coarsened boxes,
+            # ascending cover index, as slices of the box's data
+            q = np.zeros(0, dtype=np.int64)
             if lev < hier.finest_level:
                 cover = coarse_fine.coarsened_layout(
                     hier.ba(lev + 1), self.params.ref_ratio[lev]
                 )
-            else:
-                cover = None
+                q, _, lo, hi = cover.intersections(fa.ba.bounds())
+                lo, hi = (lo - fa.glo[q]).tolist(), (hi - fa.glo[q]).tolist()
+            ends = np.searchsorted(q, np.arange(len(fa.ba) + 1)).tolist()
             lev_sum = 0.0
             for i in range(len(fa.ba)):
-                arr = fa.fab(i).valid(0)
-                lev_sum += float(arr.sum())
-                if cover is not None:
-                    for _, ov in cover.intersections(fa.ba[i]):
-                        lev_sum -= float(fa.fab(i).slice(ov, 0).sum())
+                data = fa.fab(i).data[0]
+                lev_sum += float(fa.fab(i).valid(0).sum())
+                for k in range(ends[i], ends[i + 1]):
+                    idx = tuple(slice(a, b + 1) for a, b in zip(lo[k], hi[k]))
+                    lev_sum -= float(data[idx].sum())
             total += vol * lev_sum
         return total
 

@@ -373,17 +373,15 @@ def cluster_tags(tags, params, level_domain, level=0, max_extent=None):
 # ---------------------------------------------------------------------------
 
 
-def _boxes_to_mask(boxes, region):
+def _bounds_to_mask(bounds, region):
+    """Boolean mask over region of the cells inside any of the (N, 2, D)
+    lo/hi boxes."""
     mask = np.zeros(tuple(region.extents()), dtype=bool)
-    for b in boxes:
-        ov = b.intersect(region)
-        if ov.is_empty():
-            continue
-        idx = tuple(
-            slice(ov.lo[d] - region.lo[d], ov.hi[d] - region.lo[d] + 1)
-            for d in range(region.dim)
-        )
-        mask[idx] = True
+    lo = np.maximum(bounds[:, 0], region.lo) - region.lo
+    hi = np.minimum(bounds[:, 1], region.hi) - region.lo
+    meets = (lo <= hi).all(axis=1)
+    for l, h in zip(lo[meets].tolist(), hi[meets].tolist()):
+        mask[tuple(slice(a, b + 1) for a, b in zip(l, h))] = True
     return mask
 
 
@@ -439,9 +437,9 @@ def enforce_proper_nesting(fine, coarse, ratio, domain, buffer=1, block=None):
         block = IntVect.unit(dim)
     else:
         block = as_intvect(block, dim)
-    if not fine.boxes:
+    if not len(fine):
         return fine
-    covered = _boxes_to_mask(coarse.boxes, domain)
+    covered = _bounds_to_mask(coarse.bounds(), domain)
     # erode: admissible iff the (2*buffer+1)^D window is covered, where
     # out-of-domain samples count as covered (physical boundary exemption)
     padded = np.pad(covered, buffer, constant_values=True)
@@ -465,27 +463,29 @@ def enforce_proper_nesting(fine, coarse, ratio, domain, buffer=1, block=None):
         )
         block_ok[bidx] = bool(admissible[sl].all())
     out = []
-    for f in fine:
-        fc = f.coarsen(ratio)
-        # block index range of this fine box's coarse image
-        blo = tuple((fc.lo[d] - domain.lo[d]) // block_c[d] for d in range(dim))
-        bhi = tuple((fc.hi[d] - domain.lo[d]) // block_c[d] for d in range(dim))
-        sub = block_ok[tuple(slice(blo[d], bhi[d] + 1) for d in range(dim))]
+    fb = fine.bounds()
+    fc = fb // np.array(ratio)
+    dlo, bc = np.array(domain.lo), np.array(block_c)
+    # block index range of each fine box's coarse image
+    blo, bhi = (fc[:, 0] - dlo) // bc, (fc[:, 1] - dlo) // bc
+    for box, cbox, l, h in zip(fb.tolist(), fc.tolist(), blo.tolist(), bhi.tolist()):
+        sub = block_ok[tuple(slice(a, b + 1) for a, b in zip(l, h))]
         if sub.all():
-            out.append(f)
+            out.append(box)
             continue
         for rlo, rhi in _mask_rectangles(sub):
-            clo = IntVect(
-                domain.lo[d] + (blo[d] + rlo[d]) * block_c[d] for d in range(dim)
-            )
-            chi = IntVect(
-                domain.lo[d] + (blo[d] + rhi[d] + 1) * block_c[d] - 1 for d in range(dim)
-            )
-            piece = Box(clo, chi).intersect(fc).refine(ratio).intersect(f)
-            if not piece.is_empty():
-                out.append(piece)
-    out.sort(key=lambda b: (b.lo, b.hi))
-    return BoxArray(out, fine.ixtype, validate=False)
+            clo = [domain.lo[d] + (l[d] + rlo[d]) * block_c[d] for d in range(dim)]
+            chi = [domain.lo[d] + (l[d] + rhi[d] + 1) * block_c[d] - 1 for d in range(dim)]
+            # the block rectangle clipped to the coarse image, refined, and
+            # clipped to the fine box
+            plo = [max(max(a, c) * r, f) for a, c, r, f in zip(clo, cbox[0], ratio, box[0])]
+            phi = [
+                min((min(a, c) + 1) * r - 1, f) for a, c, r, f in zip(chi, cbox[1], ratio, box[1])
+            ]
+            if all(a <= b for a, b in zip(plo, phi)):
+                out.append([plo, phi])
+    out.sort()
+    return BoxArray(np.array(out, dtype=np.int64).reshape(-1, 2, dim), fine.ixtype, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ the collection holds.
 A layout is stored as an ``(N, 2, D)`` int64 array of lo/hi corners; Box
 objects are made on first use and kept.  Equality, cell counts, refine,
 coarsen, convert and max_size work on the array, and the hash is built from
-it in numpy.  ``intersections`` also takes an ``(M, 2, D)`` array of query
-boxes and answers them all at once: bin keys are computed in numpy, looked
-up in the hash's sorted key array and the overlaps cut in one pass, so a
-batch makes no per-query Python objects.  ``owners_at`` answers points in
+it in numpy.  ``intersections`` takes an ``(M, 2, D)`` array of query boxes
+and answers them all at once: bin keys are computed in numpy, looked up in
+the hash's sorted key array and the overlaps cut in one pass, so a batch
+makes no per-query Python objects.  ``uncovered`` subtracts the members
+from a batch of query boxes the same way, ``owners_at`` answers points in
 the same hash, one bin per point, and ``validate`` is one uncounted
 self-query.
 
@@ -32,7 +33,7 @@ import weakref
 import numpy as np
 
 from . import counters
-from .index_space import Box, IndexType, IntVect, _new, as_intvect, box_diff
+from .index_space import Box, IndexType, IntVect, _new, as_intvect, box_diffs
 
 _uid_lock = threading.Lock()
 _uid_next = itertools.count(1)
@@ -237,24 +238,10 @@ class BoxArray:
         return self._bounds
 
     def intersections(self, q):
-        """Where members meet q; hash-backed.
-
-        For a Box q: the list of (box_index, overlap) pairs.  For an
-        (M, 2, D) int array of query lo/hi corners: arrays (query, box, lo,
-        hi), one row per overlapping pair, sorted by query then box, with
-        the overlap's corners in lo and hi.
-        """
-        if isinstance(q, Box):
-            if q.ixtype != self.ixtype:
-                raise ValueError("index type mismatch")
-            if q.is_empty() or not len(self):
-                return []
-            out = []
-            for i in self._get_hash().candidates(q):
-                overlap = self.boxes[i].intersect(q)
-                if not overlap.is_empty():
-                    out.append((i, overlap))
-            return out
+        """Where members meet the query boxes, given as an (M, 2, D) int
+        array of lo/hi corners; hash-backed.  Returns arrays (query, box,
+        lo, hi), one row per overlapping pair, sorted by query then box,
+        with the overlap's corners in lo and hi."""
         # (D, M) corners: per-dimension rows keep every step a 1-D numpy op
         q = np.asarray(q, dtype=np.int64).reshape(-1, 2, self.dim)
         lo, hi = np.ascontiguousarray(q.transpose(1, 2, 0))
@@ -266,6 +253,27 @@ class BoxArray:
         olo = [np.maximum(lo[d][query], b[box, 0, d]) for d in range(self.dim)]
         ohi = [np.minimum(hi[d][query], b[box, 1, d]) for d in range(self.dim)]
         return query, box, np.stack(olo, axis=1), np.stack(ohi, axis=1)
+
+    def uncovered(self, q):
+        """The cells of each query box (an (M, 2, D) int array of lo/hi
+        corners) that no member covers, as disjoint pieces: arrays (query,
+        lo, hi), queries ascending; an empty query has none.  Each query is
+        cut by box_diff by the members it meets, in ascending index, so its
+        pieces come in that order.  One intersections call."""
+        q = np.asarray(q, dtype=np.int64).reshape(-1, 2, self.dim)
+        query, box, _, _ = self.intersections(q)
+        row = np.flatnonzero((q[:, 1] >= q[:, 0]).all(axis=1))
+        lo, hi = q[row, 0], q[row, 1]
+        # the k-th member each query meets, in round k; an empty box where
+        # a query meets fewer
+        rank = np.arange(query.shape[0]) - np.searchsorted(query, query)
+        for k in range(int(rank.max()) + 1 if rank.shape[0] else 0):
+            cut = np.zeros((q.shape[0], 2, self.dim), dtype=np.int64)
+            cut[:, 1, 0] = -1
+            cut[query[rank == k]] = self._bounds[box[rank == k]]
+            piece, lo, hi = box_diffs(np.stack([lo, hi], axis=1), cut[row])
+            row = row[piece]
+        return row, lo, hi
 
     def owners_at(self, cells):
         """Index of the box containing each row of an (n, D) int array, or -1.
@@ -287,25 +295,17 @@ class BoxArray:
         """True iff every cell of q lies inside some member box."""
         if q.ixtype != self.ixtype:
             raise ValueError("index type mismatch")
-        remaining = [q] if not q.is_empty() else []
-        for i, overlap in self.intersections(q):
-            nxt = []
-            for piece in remaining:
-                nxt.extend(box_diff(piece, overlap))
-            remaining = nxt
-            if not remaining:
-                return True
-        return not remaining
+        return not self.uncovered([(q.lo, q.hi)])[0].shape[0]
 
     def complement_in(self, region):
         """Disjoint boxes covering region minus this collection's cells."""
-        remaining = [region] if not region.is_empty() else []
-        for _, overlap in self.intersections(region):
-            nxt = []
-            for piece in remaining:
-                nxt.extend(box_diff(piece, overlap))
-            remaining = nxt
-        return remaining
+        if region.ixtype != self.ixtype:
+            raise ValueError("index type mismatch")
+        _, lo, hi = self.uncovered([(region.lo, region.hi)])
+        return [
+            Box(_new(IntVect, l), _new(IntVect, h), region.ixtype)
+            for l, h in zip(lo.tolist(), hi.tolist())
+        ]
 
 
 def _bins_of(klo, khi, shape):
@@ -339,10 +339,9 @@ class BoxHash:
     query region of up to twice the bin size examines at most 3 bins per
     dimension.  Occupied bins are kept as sorted row-major keys over the bin
     lattice, with their members in CSR order, ascending box index per bin.
-    Scalar queries walk a key -> members table derived from the same CSR.
     """
 
-    __slots__ = ("bounds", "origin", "size", "shape", "keys", "starts", "members", "_table")
+    __slots__ = ("bounds", "origin", "size", "shape", "keys", "starts", "members")
 
     def __init__(self, bounds):
         if not bounds.shape[0]:
@@ -360,35 +359,6 @@ class BoxHash:
         first = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
         self.keys = key[first]
         self.starts = np.append(first, key.shape[0])
-        self._table = None
-
-    def _bin_table(self):
-        if self._table is None:
-            coords = np.unravel_index(self.keys, self.shape)
-            members = self.members.tolist()
-            starts = self.starts.tolist()
-            self._table = {
-                key: members[a:b]
-                for key, a, b in zip(zip(*(c.tolist() for c in coords)), starts, starts[1:])
-            }
-        return self._table
-
-    def candidates(self, q):
-        """Boxes registered in the bins q touches, each once, in bin walk
-        order (row-major over the bins, ascending index within a bin)."""
-        ranges = [
-            range((lo - o) // s, (hi - o) // s + 1)
-            for lo, hi, o, s in zip(q.lo, q.hi, self.origin.tolist(), self.size.tolist())
-        ]
-        table = self._bin_table()
-        out = []
-        nbins = 0
-        for key in itertools.product(*ranges):
-            nbins += 1
-            out.extend(table.get(key, ()))
-        counters.incr("hash_bins_examined", nbins)
-        counters.incr("hash_queries")
-        return list(dict.fromkeys(out))
 
     def meeting(self, lo, hi, count=True):
         """(query, box) for every box meeting a query box, given as (D, M)

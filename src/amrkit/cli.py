@@ -145,34 +145,36 @@ def cmd_advect(args):
 # ---------------------------------------------------------------------------
 
 
+def _touching(ba):
+    """(i, j) for every ordered pair of distinct boxes where box i grown
+    by one cell meets box j: one batch intersections query."""
+    b = ba.bounds()
+    i, j, _, _ = ba.intersections(np.stack([b[:, 0] - 1, b[:, 1] + 1], axis=1))
+    return i[i != j], j[i != j]
+
+
 def _box_adjacency(ba, domain):
     """Per-box count of other boxes touching it (faces, edges, corners);
     the box itself is excluded, so a grid surrounded on every side in 3D
     reports 26 (the saturation count is 27 when counting self-inclusive).
     Also returns the mean over boxes whose 1-grown halo stays in-domain."""
-    counts = []
-    interior = []
-    for i in range(len(ba)):
-        q = ba[i].grow(1)
-        n = sum(1 for j, _ in ba.intersections(q) if j != i)
-        counts.append(n)
-        if domain.contains_box(q):
-            interior.append(n)
-    mean_all = float(np.mean(counts)) if counts else 0.0
-    mean_int = float(np.mean(interior)) if interior else 0.0
+    counts = np.bincount(_touching(ba)[0], minlength=len(ba))
+    b = ba.bounds()
+    interior = ((b[:, 0] - 1 >= domain.lo) & (b[:, 1] + 1 <= domain.hi)).all(axis=1)
+    mean_all = float(np.mean(counts)) if counts.size else 0.0
+    mean_int = float(np.mean(counts[interior])) if interior.any() else 0.0
     return mean_all, mean_int
 
 
 def _neighbor_rank_mean(ba, dm):
     """Mean over ranks of how many other ranks own an adjacent box."""
-    nbr = {r: set() for r in range(dm.nranks)}
-    for i in range(len(ba)):
-        r = dm[i]
-        for j, _ in ba.intersections(ba[i].grow(1)):
-            if dm[j] != r:
-                nbr[r].add(dm[j])
-    used = [len(s) for r, s in nbr.items()]
-    return float(np.mean(used)) if used else 0.0
+    owner = np.asarray(dm.owner, dtype=np.int64)
+    i, j = _touching(ba)
+    ri, rj = owner[i], owner[j]
+    other = ri != rj
+    pairs = np.unique(ri[other] * dm.nranks + rj[other])
+    used = np.bincount(pairs // dm.nranks, minlength=dm.nranks)
+    return float(np.mean(used)) if used.size else 0.0
 
 
 def _particle_digest(pc):

@@ -19,15 +19,15 @@ from .boxarray import BoxArray, on_free
 from .distribution import DistributionMapping
 from .fabarray import (
     CommPlan,
-    CopyRecord,
     FabArray,
     _cached_plan,
     _execute_plan,
     _normalize_periodic,
     _plan_key,
+    _plan_of,
     parallel_copy,
 )
-from .index_space import Box, IndexType, IntVect, as_intvect, box_diff
+from .index_space import IndexType, IntVect, as_intvect
 
 
 _layout_memo = {}
@@ -274,9 +274,10 @@ class FluxRegister:
 
     Apply order: every register face receives exactly one coarse flux, so
     crse_add is order-free.  reflux can add to one coarse cell from several
-    patches, so its records are applied in generation order: patches in
-    (k, d, side) order, then coarse boxes in intersections order, then the
-    uncovered pieces in box_diff order.
+    patches, so its rows are applied in generation order: patches in
+    (k, d, side) order, then coarse boxes in ascending index, then the
+    uncovered pieces in BoxArray.uncovered order.  A patch adds to a cell
+    at most once, so the patch order alone fixes each cell's sum.
     """
 
     def __init__(self, fine_ba, fine_dm, ratio, ncomp=1):
@@ -329,23 +330,19 @@ class FluxRegister:
             _execute_plan(plan, flux, self.reg, transport, "add", -scale)
 
     def _build_crse_add(self, flux_ba, d, domain):
-        face = IndexType.face(self.dim, d)
-        records = []
-        for k in range(len(self.cba)):
-            for side in (0, 1):
-                p = self._patch(k, d, side)
-                slab = self.reg.ba[p]
-                # face index = outside cell index + off
-                off = IntVect(1 if (kk == d and side == 0) else 0 for kk in range(self.dim))
-                plane = Box(slab.lo + off, slab.hi + off, face)
-                for ci, ov in flux_ba.intersections(plane):
-                    # a box's top plane belongs to the box above it
-                    top = flux_ba[ci].hi[d]
-                    if ov.lo[d] == top and top != domain.hi[d] + 1:
-                        continue
-                    dst = Box(ov.lo - off, ov.hi - off)
-                    records.append(CopyRecord(ci, p, ov, dst, -off))
-        return CommPlan(records)
+        parts = []
+        for side in (0, 1):
+            p = self._patch(np.arange(len(self.cba)), d, side)
+            # face index = outside cell index + off
+            off = np.zeros(self.dim, dtype=np.int64)
+            off[d] = 1 - side
+            q, ci, lo, hi = flux_ba.intersections(self.reg.ba.bounds()[p] + off)
+            # a box's top plane belongs to the box above it
+            top = flux_ba.bounds()[ci, 1, d]
+            keep = (lo[:, d] != top) | (top == domain.hi[d] + 1)
+            lo, hi = lo[keep], hi[keep]
+            parts.append((ci[keep], p[q[keep]], lo, hi, np.broadcast_to(-off, lo.shape)))
+        return _plan_of(parts)
 
     def fine_add(self, k, fine_fluxes, scale=1.0):
         """Add the spatially averaged fine fluxes of fine box k, times scale.
@@ -404,26 +401,19 @@ class FluxRegister:
         _execute_plan(plan, self.reg, crse, transport, "add", weights)
 
     def _build_reflux(self, crse_ba, domain, periodic):
-        ext = domain.extents()
-        records = []
-        for p, adj in enumerate(self.reg.ba):
-            d = p // 2 % self.dim
-            shift = IntVect.zero(self.dim)
-            if adj.lo[d] < domain.lo[d]:
-                if not periodic[d]:
-                    continue
-                shift = IntVect(ext[kk] if kk == d else 0 for kk in range(self.dim))
-            elif adj.hi[d] > domain.hi[d]:
-                if not periodic[d]:
-                    continue
-                shift = IntVect(-ext[kk] if kk == d else 0 for kk in range(self.dim))
-            for ci, ov in crse_ba.intersections(adj.shift(shift)):
-                pieces = [ov]
-                for _, cov in self.cba.intersections(ov):
-                    nxt = []
-                    for piece in pieces:
-                        nxt.extend(box_diff(piece, cov))
-                    pieces = nxt
-                for piece in pieces:
-                    records.append(CopyRecord(p, ci, piece.shift(-shift), piece, shift))
-        return CommPlan(records, order=None)
+        adj = self.reg.ba.bounds()
+        p = np.arange(len(adj))
+        d = p // 2 % self.dim
+        ext = np.array(domain.extents(), dtype=np.int64)[d]
+        # a slab outside the domain wraps around a periodic dimension and
+        # is dropped otherwise
+        below = adj[p, 0, d] < np.array(domain.lo)[d]
+        above = adj[p, 1, d] > np.array(domain.hi)[d]
+        keep = ~(below | above) | np.array(periodic)[d]
+        shift = np.zeros((len(adj), self.dim), dtype=np.int64)
+        shift[p, d] = np.where(below, ext, np.where(above, -ext, 0))
+        p, shift = p[keep], shift[keep]
+        q, ci, lo, hi = crse_ba.intersections(adj[p] + shift[:, None])
+        row, lo, hi = self.cba.uncovered(np.stack([lo, hi], axis=1))
+        q, ci = q[row], ci[row]
+        return CommPlan(p[q], ci, lo - shift[q], hi - shift[q], shift[q], ordered=False)

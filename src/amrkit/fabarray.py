@@ -15,18 +15,20 @@ arena through offsets + c * cells, so a component is an ordinary FabArray.
 
 Ghost exchange, inter-container copy, overlap summation, coarse/fine
 patch filling and flux-register refluxing (coarse_fine) share one
-machinery: a cached CommPlan of copy records.  Plans are cached per
-layout uid and evicted when a layout they key on is garbage collected.
-On first use with a given pair of arena layouts and distribution maps a
-plan is compiled, once, into index arrays kept on the plan: per rank pair,
-the arena elements it sends, in record order and comp-major within a
-record; where they sit in one staged vector in plan order; and the
-destination element of every staged value.  Execution is then a gather,
-the Transport exchange (one message per rank pair, tagged with its record
-ids), and one scatter in plan order:
+machinery: a cached CommPlan, whose columns list the box-to-box copies
+(source box, destination box, source region, shift).  Builders make the
+columns from batch BoxArray.intersections queries, one per periodic shift.
+Plans are cached per layout uid and evicted when a layout they key on is
+garbage collected.  On first use with a given pair of arena layouts and
+distribution maps a plan is compiled, once, into index arrays kept on the
+plan: per rank pair, the arena elements it sends, in row order and
+comp-major within a row; where they sit in one staged vector in plan
+order; and the destination element of every staged value.  Execution is
+then a gather, the Transport exchange (one message per rank pair, tagged
+with its row ids), and one scatter in plan order:
 
-- copy: assignment; a destination cell that several records write keeps
-  the last record's value (the others are dropped at compile time), so
+- copy: assignment; a destination cell that several rows write keeps
+  the last row's value (the others are dropped at compile time), so
   the indices are unique;
 - add: the staged values, times a weight per source box when one is
   given, are added with np.add.at, which applies repeated indices in plan
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import counters
 from .boxarray import on_free
-from .index_space import IntVect, box_diff
+from .index_space import box_diffs
 from .transport import TransportError
 
 
@@ -201,14 +203,8 @@ class FabArray:
         out = self._index.get(ghosts)
         if out is None:
             if ghosts:
-                pieces = [
-                    (i, p.lo, p.hi)
-                    for i in range(len(self.ba))
-                    for p in box_diff(self.fab(i).gbox, self.ba[i])
-                ]
-                box = np.array([p[0] for p in pieces], dtype=np.int64)
-                lo = np.array([p[1] for p in pieces], dtype=np.int64).reshape(-1, self.dim)
-                hi = np.array([p[2] for p in pieces], dtype=np.int64).reshape(-1, self.dim)
+                grown = np.stack([self.glo, self.glo + self.gext - 1], axis=1)
+                box, lo, hi = box_diffs(grown, self.ba.bounds())
             else:
                 bounds = self.ba.bounds()
                 box, lo, hi = np.arange(len(self.ba)), bounds[:, 0], bounds[:, 1]
@@ -227,59 +223,42 @@ class FabArray:
 # ---------------------------------------------------------------------------
 
 
-class CopyRecord:
-    """One congruent box-to-box copy: src cell c maps to dst cell c + shift.
-
-    Only coordinates must agree: the flux register copies face-typed coarse
-    fluxes into registers indexed by the adjacent (cell-typed) coarse cell.
-    """
-
-    __slots__ = ("src_index", "dst_index", "src_box", "dst_box", "shift")
-
-    def __init__(self, src_index, dst_index, src_box, dst_box, shift):
-        moved = src_box.shift(shift)
-        assert (dst_box.lo, dst_box.hi) == (moved.lo, moved.hi)
-        self.src_index = src_index
-        self.dst_index = dst_index
-        self.src_box = src_box
-        self.dst_box = dst_box
-        self.shift = shift
-
-    def sort_key(self):
-        return (
-            self.dst_index,
-            self.dst_box.lo,
-            self.src_index,
-            self.shift,
-        )
-
-
 class CommPlan:
-    """An ordered list of copy records; the order is the apply order.
+    """Box-to-box copies as columns, one row per copy; the row order is
+    the apply order.
 
-    Records are sorted by order (CopyRecord.sort_key by default); with
-    order=None they are kept as given, for plans whose records add to the
-    same cell more than once in a sequence that fixes the result's bytes.
-    compiled holds the plan's index arrays per pair of arena layouts and
-    distribution maps (see _compile), so they go when the plan does.
+    Row k copies the cells lo[k]..hi[k] of source box src[k] onto
+    destination box dst[k], each cell c landing on c + shift[k]; src and
+    dst are (n,) and lo, hi and shift (n, D) int arrays.  Only coordinates
+    must agree: the flux register copies face-typed coarse fluxes into
+    registers indexed by the adjacent (cell-typed) coarse cell.  Rows are
+    sorted by destination box, destination lo corner, source box and
+    shift; with ordered=False they are kept as given, for plans whose rows
+    add to the same cell more than once in a sequence that fixes the
+    result's bytes.  compiled holds the plan's index arrays per pair of
+    arena layouts and distribution maps (see _compile), so they go when
+    the plan does.
     """
 
-    __slots__ = ("records", "compiled")
+    __slots__ = ("src", "dst", "lo", "hi", "shift", "compiled")
 
-    def __init__(self, records, order=CopyRecord.sort_key):
-        self.records = list(records) if order is None else sorted(records, key=order)
+    def __init__(self, src, dst, lo, hi, shift, ordered=True):
+        if ordered:
+            dlo = lo + shift
+            # np.lexsort sorts by its last key first
+            keys = [*shift.T[::-1], src, *dlo.T[::-1], dst]
+            order = np.lexsort(keys)
+            src, dst, lo, hi, shift = (c[order] for c in (src, dst, lo, hi, shift))
+        self.src, self.dst, self.lo, self.hi, self.shift = src, dst, lo, hi, shift
         self.compiled = {}
 
     def __len__(self):
-        return len(self.records)
+        return self.src.shape[0]
 
-    def pairs(self, dm_src, dm_dst):
-        """Group record ids by (src_rank, dst_rank), preserving plan order."""
-        groups = {}
-        for rid, rec in enumerate(self.records):
-            key = (dm_src[rec.src_index], dm_dst[rec.dst_index])
-            groups.setdefault(key, []).append(rid)
-        return groups
+
+def _plan_of(parts):
+    """The sorted CommPlan of (src, dst, lo, hi, shift) column chunks."""
+    return CommPlan(*(np.concatenate(c) for c in zip(*parts)))
 
 
 _plan_cache = {}
@@ -324,14 +303,12 @@ def _cached_plan(key, builder):
 
 
 def _periodic_shifts(domain, periodic, dim):
-    """All wrap displacement vectors to consider, the zero shift first."""
+    """All wrap displacement vectors to consider, as rows of a (k, D) int
+    array, the zero shift first."""
     ext = domain.extents()
-    choices = []
-    for d in range(dim):
-        choices.append((-ext[d], 0, ext[d]) if periodic[d] else (0,))
-    shifts = [IntVect(s) for s in itertools.product(*choices)]
-    shifts.sort(key=lambda v: (any(v), v))
-    return shifts
+    choices = [(-ext[d], 0, ext[d]) if periodic[d] else (0,) for d in range(dim)]
+    shifts = sorted(itertools.product(*choices), key=lambda v: (any(v), v))
+    return np.array(shifts, dtype=np.int64).reshape(-1, dim)
 
 
 def _normalize_periodic(periodic, dim):
@@ -343,7 +320,7 @@ def _normalize_periodic(periodic, dim):
 
 
 def build_plan_fill_boundary(ba, ngrow, domain, periodic=None):
-    """Records filling each box's ghost region from other boxes' valid cells
+    """Rows filling each box's ghost region from other boxes' valid cells
     (periodic images included); cached per (layout, ngrow, wrap, domain)."""
     periodic = _normalize_periodic(periodic, ba.dim)
     key = _plan_key("fill", (ba,), ngrow, periodic, domain)
@@ -354,22 +331,23 @@ def _build_fill(ba, ngrow, domain, periodic):
     for d in range(ba.dim):
         if periodic[d] and ngrow > domain.extents()[d]:
             raise ValueError("ghost width exceeds domain extent in a periodic dimension")
-    shifts = _periodic_shifts(domain, periodic, ba.dim)
-    records = []
-    for j in range(len(ba)):
-        valid = ba[j]
-        for piece in box_diff(valid.grow(ngrow), valid):
-            for s in shifts:
-                probe = piece.shift(-s)
-                for i, ov in ba.intersections(probe):
-                    if i == j and s == IntVect.zero(ba.dim):
-                        continue
-                    records.append(CopyRecord(i, j, ov, ov.shift(s), s))
-    return CommPlan(records)
+    b = ba.bounds()
+    # each box's ghost region as box_diff pieces of its grown box
+    box, lo, hi = box_diffs(np.stack([b[:, 0] - ngrow, b[:, 1] + ngrow], axis=1), b)
+    pieces = np.stack([lo, hi], axis=1)
+    parts = []
+    for s in _periodic_shifts(domain, periodic, ba.dim):
+        q, src, lo, hi = ba.intersections(pieces - s)
+        dst = box[q]
+        if not s.any():
+            keep = src != dst
+            src, dst, lo, hi = src[keep], dst[keep], lo[keep], hi[keep]
+        parts.append((src, dst, lo, hi, np.broadcast_to(s, lo.shape)))
+    return _plan_of(parts)
 
 
 def build_plan_copy(dst_ba, src_ba, domain=None, periodic=None, ngrow=0):
-    """Records writing dst cells (valid, grown by ngrow ghost cells) from
+    """Rows writing dst cells (valid, grown by ngrow ghost cells) from
     overlapping src valid cells."""
     if dst_ba.ixtype != src_ba.ixtype:
         raise ValueError("index type mismatch")
@@ -384,16 +362,16 @@ def build_plan_copy(dst_ba, src_ba, domain=None, periodic=None, ngrow=0):
 
 def _build_copy(dst_ba, src_ba, domain, periodic, ngrow):
     if domain is None:
-        shifts = [IntVect.zero(dst_ba.dim)]
+        shifts = np.zeros((1, dst_ba.dim), dtype=np.int64)
     else:
         shifts = _periodic_shifts(domain, periodic, dst_ba.dim)
-    records = []
-    for j in range(len(dst_ba)):
-        target = dst_ba[j].grow(ngrow)
-        for s in shifts:
-            for i, ov in src_ba.intersections(target.shift(-s)):
-                records.append(CopyRecord(i, j, ov, ov.shift(s), s))
-    return CommPlan(records)
+    b = dst_ba.bounds()
+    targets = np.stack([b[:, 0] - ngrow, b[:, 1] + ngrow], axis=1)
+    parts = []
+    for s in shifts:
+        dst, src, lo, hi = src_ba.intersections(targets - s)
+        parts.append((src, dst, lo, hi, np.broadcast_to(s, lo.shape)))
+    return _plan_of(parts)
 
 
 def build_plan_sum_boundary(ba, ngrow, domain, periodic=None):
@@ -402,12 +380,8 @@ def build_plan_sum_boundary(ba, ngrow, domain, periodic=None):
     key = _plan_key("sum", (ba,), ngrow, periodic, domain)
 
     def build():
-        fill = _build_fill(ba, ngrow, domain, periodic)
-        recs = [
-            CopyRecord(r.dst_index, r.src_index, r.dst_box, r.src_box, -r.shift)
-            for r in fill.records
-        ]
-        return CommPlan(recs)
+        f = _build_fill(ba, ngrow, domain, periodic)
+        return CommPlan(f.dst, f.src, f.lo + f.shift, f.hi + f.shift, -f.shift)
 
     return _cached_plan(key, build)
 
@@ -422,13 +396,13 @@ class _Compiled:
     distribution maps.
 
     groups: per (src rank, dst rank) pair in sorted order, (src rank, dst
-    rank, tag, gather, place): the tag is the tuple of the pair's record
-    ids, gather the source arena elements of those records in record order
-    (comp-major within a record), place their positions in the staged
-    vector, which holds every record's elements in plan order.  dst is the
+    rank, tag, gather, place): the tag is the tuple of the pair's row ids,
+    gather the source arena elements of those rows in row order
+    (comp-major within a row), place their positions in the staged
+    vector, which holds every row's elements in plan order.  dst is the
     destination arena element of each staged value (take selects the
     staged values it receives when some were dropped), and unique says
-    whether dst repeats no element.  src_index and sizes are each record's
+    whether dst repeats no element.  src_index and sizes are each row's
     source box and element count.
     """
 
@@ -437,18 +411,14 @@ class _Compiled:
 
 def _compile(plan, src_fa, dst_fa, copy):
     """Index arrays of plan between src_fa and dst_fa; with copy (the last
-    write wins), destination elements that a later record overwrites are
+    write wins), destination elements that a later row overwrites are
     dropped, which leaves dst unique."""
     if src_fa.ncomp != dst_fa.ncomp:
         raise ValueError(f"component count mismatch: {src_fa.ncomp} vs {dst_fa.ncomp}")
-    dim, nranks = src_fa.dim, src_fa.dm.nranks
-    recs = plan.records
-    shape = (len(recs), dim)
-    si = np.array([r.src_index for r in recs], dtype=np.int64)
-    di = np.array([r.dst_index for r in recs], dtype=np.int64)
-    slo = np.array([r.src_box.lo for r in recs], dtype=np.int64).reshape(shape)
-    dlo = np.array([r.dst_box.lo for r in recs], dtype=np.int64).reshape(shape)
-    ext = np.array([r.src_box.hi for r in recs], dtype=np.int64).reshape(shape) - slo + 1
+    nranks = src_fa.dm.nranks
+    si, di, slo = plan.src, plan.dst, plan.lo
+    dlo = slo + plan.shift
+    ext = plan.hi - slo + 1
     src = src_fa._region_index(si, slo, ext)
     dst = dst_fa._region_index(di, dlo, ext)
     size = src_fa.ncomp * ext.prod(axis=1)
@@ -483,7 +453,7 @@ def _compile(plan, src_fa, dst_fa, copy):
 
 def _execute_plan(plan, src_fa, dst_fa, transport, combine, weights=None):
     """Gather every source element the plan reads, move the remote ones
-    over the transport (one buffer per rank pair, tagged with its record
+    over the transport (one buffer per rank pair, tagged with its row
     ids), and scatter into dst_fa in plan order.  combine is "copy"
     (assignment, the last write wins) or "add" (np.add.at, in plan order,
     of the values times weights: a scalar, or one weight per source box).

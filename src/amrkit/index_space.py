@@ -16,6 +16,8 @@ import itertools
 import math
 import operator
 
+import numpy as np
+
 
 def _as_coords(v, dim=None):
     if isinstance(v, int):
@@ -340,3 +342,32 @@ def box_diff(a, b):
             out.append(Box(IntVect(piece_lo), IntVect(hi), a.ixtype))
             hi[d] = inter.hi[d]
     return out
+
+
+def box_diffs(a, b):
+    """box_diff over rows: a and b are (n, 2, D) int arrays of lo/hi
+    corners.  Returns (row, lo, hi): the pieces of each a[k] minus b[k],
+    rows ascending and each row's pieces in box_diff's order."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    n, dim = a.shape[0], a.shape[2]
+    alo, ahi = a[:, 0], a[:, 1]
+    ilo, ihi = np.maximum(alo, b[:, 0]), np.minimum(ahi, b[:, 1])
+    meets = (ilo <= ihi).all(axis=1)
+    # slot 0 is a itself, kept when b misses it; slots 1 + 2d + side are
+    # the low and high slabs cut along dimension d
+    lo = np.repeat(alo[:, None], 2 * dim + 1, axis=1)
+    hi = np.repeat(ahi[:, None], 2 * dim + 1, axis=1)
+    keep = np.zeros((n, 2 * dim + 1), dtype=bool)
+    keep[:, 0] = ~meets & (alo <= ahi).all(axis=1)
+    for d in range(dim):
+        low, high = 1 + 2 * d, 2 + 2 * d
+        hi[:, low, d] = ilo[:, d] - 1
+        lo[:, high, d] = ihi[:, d] + 1
+        keep[:, low] = meets & (alo[:, d] < ilo[:, d])
+        keep[:, high] = meets & (ahi[:, d] > ihi[:, d])
+        # the slabs of later dimensions lie inside the intersection along d
+        lo[:, high + 1 :, d] = ilo[:, d, None]
+        hi[:, high + 1 :, d] = ihi[:, d, None]
+    row = np.nonzero(keep)[0]
+    return row, lo[keep], hi[keep]

@@ -386,41 +386,53 @@ def read_plotfile(path, nranks=1):
 # ---------------------------------------------------------------------------
 
 
+def _particle_formats(dim, nreal, nint):
+    """(file dtype, bytes per particle) of each column of a particle dump,
+    in the order a tile holds them: id, origin, pos, then each real and
+    each int component."""
+    return [("<i8", 8), ("<i4", 4), ("<f8", 8 * dim)] + [("<f8", 8)] * nreal + [("<i8", 8)] * nint
+
+
 def write_particles(path, pc):
-    """Dump every tile's records, each column a slice of the container's
-    store; deterministic because the store is sorted by tile key and id."""
+    """Dump every tile's records: each tile's run of every column of the
+    container's store, tile after tile, joined into one buffer and written
+    at once; deterministic because the store is sorted by tile key and id."""
     os.makedirs(path, exist_ok=True)
-    keys = pc.keys.tolist()
-    bounds = pc.starts.tolist()
+    counts = np.diff(pc.starts)
+    formats = _particle_formats(pc.dim, pc.nreal, pc.nint)
+    rec = sum(w for _, w in formats)
     lines = [
         PARTICLE_TAG,
         "endian little",
         f"dim {pc.dim}",
         f"nreal {pc.nreal}",
         f"nint {pc.nint}",
-        f"ntiles {len(keys)}",
+        f"ntiles {len(counts)}",
     ]
     at = 0
-    for (lev, grid, tile), a, b in zip(keys, bounds, bounds[1:]):
-        nbytes = (b - a) * (8 + 4 + 8 * pc.dim + 8 * pc.nreal + 8 * pc.nint)
-        lines.append(f"tile {lev} {grid} {tile} {b - a} {at} {nbytes}")
-        at += nbytes
+    for (lev, grid, tile), n in zip(pc.keys.tolist(), counts.tolist()):
+        lines.append(f"tile {lev} {grid} {tile} {n} {at} {n * rec}")
+        at += n * rec
     with open(os.path.join(path, "Header"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    n = pc.aos.shape[0]
+    columns = [
+        np.ascontiguousarray(c, dtype=fmt).view(np.uint8).reshape(n, width)
+        for c, (fmt, width) in zip(
+            [pc.aos["id"], pc.aos["origin"], pc.aos["pos"], *pc.rdata, *pc.idata], formats
+        )
+    ]
+    # every tile's run of every column, tile after tile; the empty run
+    # keeps a dump without tiles whole
+    bounds = pc.starts.tolist()
+    runs = [c[a:b] for a, b in zip(bounds, bounds[1:]) for c in columns]
     with open(os.path.join(path, "data.bin"), "wb") as fh:
-        for a, b in zip(bounds, bounds[1:]):
-            for part, fmt in (
-                (pc.aos["id"][a:b], "<i8"),
-                (pc.aos["origin"][a:b], "<i4"),
-                (pc.aos["pos"][a:b], "<f8"),
-                (pc.rdata[:, a:b], "<f8"),
-                (pc.idata[:, a:b], "<i8"),
-            ):
-                fh.write(part.astype(fmt).tobytes())
+        fh.write(np.concatenate(runs + [columns[0][:0]], axis=None))
 
 
-def read_particles(path, expect_schema=None):
-    """(meta, {tile key: (ids, origin, pos, rdata, idata)})."""
+def _read_particle_columns(path, expect_schema):
+    """(meta, tile keys (T, 3), counts (T,), (ids, origin, pos, rdata,
+    idata)) of a dump; each column joins its runs of every tile at once."""
     rd = _HeaderReader(os.path.join(path, "Header"))
     if rd.lines[0] != PARTICLE_TAG:
         raise ValueError(f"not a particle dump (version tag {rd.lines[0]!r})")
@@ -435,48 +447,60 @@ def read_particles(path, expect_schema=None):
             f"expected {expect_schema}"
         )
     ntiles = int(rd.next("ntiles")[1])
+    table = np.array([rd.next("tile")[1:6] for _ in range(ntiles)], dtype=np.int64)
+    table = table.reshape(-1, 5)
+    counts, n = table[:, 3], int(table[:, 3].sum())
+    formats = _particle_formats(dim, nreal, nint)
+    rec = sum(w for _, w in formats)
+    if not np.array_equal(table[:, 4], (np.cumsum(counts) - counts) * rec):
+        raise ValueError("particle records are not packed in tile order")
     fname = os.path.join(path, "data.bin")
     raw = b""
     if ntiles:
         with open(fname, "rb") as fh:
             raw = fh.read()
-    records = {}
-    for _ in range(ntiles):
-        parts = rd.next("tile")[1:]
-        key = (int(parts[0]), int(parts[1]), int(parts[2]))
-        n, at = int(parts[3]), int(parts[4])
-        ids = np.frombuffer(raw, "<i8", n, at).copy()
-        at += 8 * n
-        origin = np.frombuffer(raw, "<i4", n, at).copy()
-        at += 4 * n
-        pos = np.frombuffer(raw, "<f8", n * dim, at).reshape(n, dim).copy()
-        at += 8 * n * dim
-        rdata = np.frombuffer(raw, "<f8", n * nreal, at).reshape(nreal, n).copy()
-        at += 8 * n * nreal
-        idata = np.frombuffer(raw, "<i8", n * nint, at).reshape(nint, n).copy()
-        records[key] = (ids, origin, pos, rdata, idata)
-    return {"dim": dim, "nreal": nreal, "nint": nint}, records
+    if len(raw) < n * rec:
+        raise ValueError(f"{fname} holds {len(raw)} of {n * rec} bytes")
+    data = np.frombuffer(raw, np.uint8, n * rec)
+    # every tile's run of every column, tile after tile
+    ends = np.cumsum(counts[:, None] * [w for _, w in formats]).tolist()
+    runs = [data[a:b] for a, b in zip([0] + ends, ends)]
+    # each column joins its runs; the empty run keeps a dump without tiles whole
+    columns = [
+        np.concatenate(runs[k :: len(formats)] + [data[:0]]).view(fmt)
+        for k, (fmt, _) in enumerate(formats)
+    ]
+    pos = columns[2].reshape(n, dim)
+    rdata = np.array(columns[3 : 3 + nreal], dtype="<f8").reshape(nreal, n)
+    idata = np.array(columns[3 + nreal :], dtype="<i8").reshape(nint, n)
+    meta = {"dim": dim, "nreal": nreal, "nint": nint}
+    return meta, table[:, :3], counts, (columns[0], columns[1], pos, rdata, idata)
+
+
+def read_particles(path, expect_schema=None):
+    """(meta, {tile key: (ids, origin, pos, rdata, idata)}), each tile's
+    arrays slices of whole columns."""
+    meta, keys, counts, (ids, origin, pos, rdata, idata) = _read_particle_columns(
+        path, expect_schema
+    )
+    bounds = np.append(0, np.cumsum(counts)).tolist()
+    records = {
+        tuple(key): (ids[a:b], origin[a:b], pos[a:b], rdata[:, a:b], idata[:, a:b])
+        for key, a, b in zip(keys.tolist(), bounds, bounds[1:])
+    }
+    return meta, records
 
 
 def load_particles_into(pc, path):
     """Replace pc's particles with the dump's contents (schema must match)."""
     from .particles import _aos_dtype, _store_rows
 
-    _, records = read_particles(path, expect_schema=(pc.dim, pc.nreal, pc.nint))
-    tiles = [records[k] for k in sorted(records)]
-    counts = [len(t[0]) for t in tiles]
-    aos = np.zeros(sum(counts), dtype=_aos_dtype(pc.dim))
-    if tiles:
-        for c, name in enumerate(("id", "origin", "pos")):
-            aos[name] = np.concatenate([t[c] for t in tiles])
-    _store_rows(
-        pc,
-        aos,
-        np.concatenate([np.zeros((pc.nreal, 0))] + [t[3] for t in tiles], axis=1),
-        np.concatenate([np.zeros((pc.nint, 0), dtype=np.int64)] + [t[4] for t in tiles], axis=1),
-        np.repeat(np.array(sorted(records), dtype=np.int64).reshape(-1, 3), counts, axis=0),
-        np.arange(aos.shape[0]),
+    _, keys, counts, (ids, origin, pos, rdata, idata) = _read_particle_columns(
+        path, (pc.dim, pc.nreal, pc.nint)
     )
+    aos = np.zeros(ids.shape[0], dtype=_aos_dtype(pc.dim))
+    aos["id"], aos["origin"], aos["pos"] = ids, origin, pos
+    _store_rows(pc, aos, rdata, idata, np.repeat(keys, counts, axis=0), np.arange(aos.shape[0]))
     pc.epoch += 1
 
 

@@ -43,6 +43,21 @@ def random_cover(rng, domain, nsplits=6):
     return BoxArray(boxes)
 
 
+def box_hits(ba, q):
+    """(index, overlap) for every member of ba meeting the Box q, in
+    ascending index: a one-row batch intersections query."""
+    _, box, lo, hi = ba.intersections(np.array([[q.lo, q.hi]], dtype=np.int64))
+    return [
+        (i, Box(IntVect(l), IntVect(h), q.ixtype))
+        for i, l, h in zip(box.tolist(), lo.tolist(), hi.tolist())
+    ]
+
+
+def plan_pairs(plan, dm_src, dm_dst):
+    """The (src rank, dst rank) pairs that the plan's rows connect."""
+    return {(dm_src[i], dm_dst[j]) for i, j in zip(plan.src.tolist(), plan.dst.tolist())}
+
+
 def fill_from_global(fa, domain, global_arr):
     """Load each fab's valid region from one dense array over domain."""
     for i in range(len(fa.ba)):

@@ -76,8 +76,10 @@ from amrkit.transport import Transport
 
 from conftest import (
     ACCEPTANCE_REPORT,
+    box_hits,
     fill_from_global,
     global_index,
+    plan_pairs,
     random_box,
     random_cover,
 )
@@ -151,11 +153,11 @@ def test_criterion_02_hash_intersection(rng):
             n = int(rng.integers(12, 28))
             domain = Box(IntVect.zero(dim), IntVect([n - 1] * dim))
             ba = random_cover(rng, domain, nsplits=int(rng.integers(4, 8)))
-            ba.intersections(ba[0])  # warm the hash before metering
+            box_hits(ba, ba[0])  # warm the hash before metering
             for _ in range(5):
                 q = ba[int(rng.integers(0, len(ba)))].grow(1)
                 before = counters.get("hash_bins_examined")
-                got = sorted(ba.intersections(q), key=lambda t: t[0])
+                got = sorted(box_hits(ba, q), key=lambda t: t[0])
                 bins = counters.get("hash_bins_examined") - before
                 assert bins <= 3**dim
                 want = []
@@ -374,7 +376,7 @@ def test_criterion_05_ghost_exchange(rng):
         domain, fa = _random_layout(rng, dim, nranks, n=24)
         fill_from_global(fa, domain, rng.normal(size=(fa.ncomp,) + tuple(domain.extents())))
         plan = build_plan_fill_boundary(fa.ba, fa.ngrow, domain, (True, True))
-        pairs = {(s, d) for s, d in plan.pairs(fa.dm, fa.dm) if s != d}
+        pairs = {(s, d) for s, d in plan_pairs(plan, fa.dm, fa.dm) if s != d}
         counters.reset("transport_messages")
         fill_boundary(fa, Transport(nranks), domain, (True, True))
         assert counters.get("transport_messages") == len(pairs)
@@ -385,13 +387,13 @@ def test_criterion_05_ghost_exchange(rng):
         )
         fill_from_global(src, domain, rng.normal(size=(fa.ncomp,) + tuple(domain.extents())))
         plan = build_plan_copy(fa.ba, src_ba, domain, (True, True))
-        pairs = {(s, d) for s, d in plan.pairs(src.dm, fa.dm) if s != d}
+        pairs = {(s, d) for s, d in plan_pairs(plan, src.dm, fa.dm) if s != d}
         counters.reset("transport_messages")
         parallel_copy(fa, src, Transport(nranks), domain, (True, True))
         assert counters.get("transport_messages") == len(pairs)
 
         plan = build_plan_sum_boundary(fa.ba, fa.ngrow, domain, (True, True))
-        pairs = {(s, d) for s, d in plan.pairs(fa.dm, fa.dm) if s != d}
+        pairs = {(s, d) for s, d in plan_pairs(plan, fa.dm, fa.dm) if s != d}
         counters.reset("transport_messages")
         sum_boundary(fa, Transport(nranks), domain, (True, True))
         assert counters.get("transport_messages") == len(pairs)

@@ -5,9 +5,9 @@ import pytest
 
 from amrkit import counters
 from amrkit.boxarray import BoxArray
-from amrkit.index_space import Box, IndexType, IntVect
+from amrkit.index_space import Box, IndexType, IntVect, box_diff
 
-from conftest import random_box, random_cover
+from conftest import box_hits, random_box, random_cover
 
 
 def brute_intersections(boxes, q):
@@ -31,7 +31,7 @@ def test_hash_matches_brute_force(rng):
         ba = random_cover(rng, domain, nsplits=int(rng.integers(2, 10)))
         for _ in range(5):
             q = random_box(rng, dim, span=20, max_ext=10)
-            got = sorted(ba.intersections(q), key=lambda t: t[0])
+            got = sorted(box_hits(ba, q), key=lambda t: t[0])
             want = sorted(brute_intersections(list(ba), q), key=lambda t: t[0])
             assert got == want
 
@@ -70,13 +70,32 @@ def test_batch_intersections_match_brute_force(rng):
         ]
         assert got == want
         assert olo.shape == ohi.shape == (len(want), dim)
-        # a batch counts what its scalar queries count
+        # a batch of M counts what M one-row batches count
         counters.reset("hash_bins_examined", "hash_queries")
         for q in queries:
-            ba.intersections(q)
+            box_hits(ba, q)
         assert batch == (counters.get("hash_bins_examined"), counters.get("hash_queries"))
     empty = ba.intersections(np.zeros((0, 2, dim), dtype=np.int64))
     assert [a.shape[0] for a in empty] == [0, 0, 0, 0]
+
+
+def test_uncovered_matches_box_diff_loop(rng):
+    # each query cut by box_diff by the boxes it meets, ascending index
+    for trial in range(45):
+        dim = trial % 3 + 1
+        domain = Box(IntVect.zero(dim), IntVect([int(rng.integers(6, 20))] * dim))
+        ba = random_cover(rng, domain, nsplits=int(rng.integers(1, 10)))
+        ba = ba.prune(lambda b: rng.integers(0, 3) == 0)
+        queries = [random_box(rng, dim, span=12, max_ext=12) for _ in range(20)]
+        queries.append(Box.empty(dim))
+        want = []
+        for m, q in enumerate(queries):
+            pieces = [q] if not q.is_empty() else []
+            for _, ov in brute_intersections(list(ba), q):
+                pieces = [p for piece in pieces for p in box_diff(piece, ov)]
+            want.extend((m, list(p.lo), list(p.hi)) for p in pieces)
+        query, lo, hi = ba.uncovered(np.array([[q.lo, q.hi] for q in queries]))
+        assert list(zip(query.tolist(), lo.tolist(), hi.tolist())) == want
 
 
 def test_query_bin_cost_bounded(rng):
@@ -89,7 +108,7 @@ def test_query_bin_cost_bounded(rng):
         q_lo = [int(rng.integers(0, 32 - 1))] * dim
         q = Box(IntVect(q_lo), IntVect([min(31, l + side - 1) for l in q_lo]))
         counters.reset("hash_bins_examined", "hash_queries")
-        ba.intersections(q)
+        box_hits(ba, q)
         assert counters.get("hash_bins_examined") <= 3**dim
 
 

@@ -25,7 +25,7 @@ from amrkit.fabarray import FabArray, fill_boundary, gather_global
 from amrkit.index_space import Box, IndexType, IntVect, box_diff
 from amrkit.transport import Transport, TransportError
 
-from conftest import FaultyTransport, fill_from_global, random_cover
+from conftest import FaultyTransport, box_hits, fill_from_global, random_cover
 
 
 def _single(ba, ncomp=1, ngrow=0, nranks=1):
@@ -315,9 +315,9 @@ class BruteForceFluxRegister:
                 if not periodic[d]:
                     continue
                 shift = IntVect(-ext[kk] if kk == d else 0 for kk in range(self.dim))
-            for ci, ov in crse.ba.intersections(adj.shift(shift)):
+            for ci, ov in box_hits(crse.ba, adj.shift(shift)):
                 pieces = [ov]
-                for _, cov in self.cba.intersections(ov):
+                for _, cov in box_hits(self.cba, ov):
                     nxt = []
                     for piece in pieces:
                         nxt.extend(box_diff(piece, cov))
@@ -409,11 +409,11 @@ def _register_case(rng, dim, n, fine_boxes, nranks, ncomp):
     key = fabarray._plan_key("reflux", (fine_ba, crse_ba), ratio.coords, periodic, cdomain)
     plan = fabarray._plan_cache[key]
     seen = {}
-    for rec in plan.records:
-        for c in rec.dst_box.cells():
+    for lo, hi in zip((plan.lo + plan.shift).tolist(), (plan.hi + plan.shift).tolist()):
+        for c in Box(IntVect(lo), IntVect(hi)).cells():
             seen[c] = seen.get(c, 0) + 1
     repeats = sum(1 for v in seen.values() if v > 1)
-    wraps = sum(1 for rec in plan.records if any(rec.shift.coords))
+    wraps = sum(1 for s in plan.shift.tolist() if any(s))
     return repeats, wraps
 
 

@@ -4,6 +4,8 @@ Every op must be bit-identical for any simulated rank count, and remote
 traffic must aggregate to one message per communicating rank pair per op.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from amrkit.fabarray import (
 from amrkit.index_space import Box, IntVect, box_diff
 from amrkit.transport import Transport, TransportError
 
-from conftest import FaultyTransport, fill_from_global, global_index, random_cover
+from conftest import FaultyTransport, fill_from_global, global_index, plan_pairs, random_cover
 
 
 def _global_field(rng, domain, ncomp):
@@ -111,7 +113,7 @@ def test_fill_boundary_one_message_per_rank_pair(rng):
     plan = build_plan_fill_boundary(fa.ba, fa.ngrow, domain, (True, True))
     expected_pairs = {
         (sr, dr)
-        for (sr, dr) in plan.pairs(fa.dm, fa.dm)
+        for (sr, dr) in plan_pairs(plan, fa.dm, fa.dm)
         if sr != dr
     }
     counters.reset("transport_messages")
@@ -264,6 +266,20 @@ def test_stray_message_raises(rng):
 # -- compiled plans against the per-record loop ------------------------------
 
 
+Record = namedtuple("Record", "src_index dst_index src_box dst_box shift")
+
+
+def plan_records(plan):
+    """The plan's rows as records: source and destination box index,
+    source and destination region, and shift."""
+    return [
+        Record(i, j, Box(IntVect(lo), IntVect(hi)), Box(IntVect(lo) + s, IntVect(hi) + s), s)
+        for i, j, lo, hi, s in zip(
+            plan.src.tolist(), plan.dst.tolist(), plan.lo.tolist(), plan.hi.tolist(), plan.shift.tolist()
+        )
+    ]
+
+
 class LoopExecutor:
     """Plan execution as it was before plans were compiled, kept as the
     reference: stage every record's source region with Fab.slice (remote
@@ -280,10 +296,14 @@ class LoopExecutor:
             return out if comp is None else out[comp : comp + 1]
 
         ncomp = src_fa.ncomp if src_comp is None else 1
-        groups = plan.pairs(src_fa.dm, dst_fa.dm)
+        records = plan_records(plan)
+        groups = {}
+        for rid, rec in enumerate(records):
+            key = (src_fa.dm[rec.src_index], dst_fa.dm[rec.dst_index])
+            groups.setdefault(key, []).append(rid)
         staged = [None] * len(plan)
         for (sr, dr), rids in sorted(groups.items()):
-            recs = [plan.records[rid] for rid in rids]
+            recs = [records[rid] for rid in rids]
             parts = [view(src_fa, r.src_index, r.src_box, src_comp) for r in recs]
             if sr == dr:
                 for rid, part in zip(rids, parts):
@@ -294,12 +314,12 @@ class LoopExecutor:
             for sr, rids, buf in transport.drain(dr):
                 offset = 0
                 for rid in rids:
-                    box = plan.records[rid].src_box
+                    box = records[rid].src_box
                     n = box.num_cells() * ncomp
                     shape = (ncomp,) + tuple(box.extents())
                     staged[rid] = buf[offset : offset + n].reshape(shape)
                     offset += n
-        for rid, rec in enumerate(plan.records):
+        for rid, rec in enumerate(records):
             self.combine(view(dst_fa, rec.dst_index, rec.dst_box, dst_comp), staged[rid], rec)
 
 
@@ -489,3 +509,13 @@ def test_fab_data_are_arena_views_at_documented_offsets(rng, dim, ncomp, ngrow):
     want = np.concatenate([fa.fab(i).valid().ravel() for i in range(len(fa.ba))])
     assert np.array_equal(fa.valid_values(), want)
     assert np.array_equal(snapshot_valid(fa).arena, want)
+    # the ghost index lists each box's box_diff pieces in turn
+    marks = FabArray(fa.ba, fa.dm, ncomp, ngrow, np.int64)
+    marks.arena[...] = np.arange(marks.arena.size)
+    pieces = [
+        marks.fab(i).slice(p).ravel()
+        for i in range(len(fa.ba))
+        for p in box_diff(marks.fab(i).gbox, fa.ba[i])
+    ]
+    ghosts = np.concatenate(pieces + [np.zeros(0, np.int64)])
+    assert np.array_equal(fa._layout_index(True), ghosts)

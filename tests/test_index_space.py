@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from amrkit.index_space import Box, IndexType, IntVect, box_diff
+from amrkit.index_space import Box, IndexType, IntVect, box_diff, box_diffs
 
 from conftest import random_box
 
@@ -128,6 +128,41 @@ def test_box_diff_partitions(rng):
             assert not p.intersects(b)
             for q in pieces[i + 1 :]:
                 assert not p.intersects(q)
+
+
+def test_box_diffs_match_box_diff(rng):
+    # the array form gives box_diff's pieces in box_diff's order, row by
+    # row, over disjoint, overlapping, nested, equal and empty pairs
+    kinds = set()
+    for _ in range(150):
+        dim = int(rng.integers(1, 4))
+        pairs = []
+        for _ in range(int(rng.integers(0, 8))):
+            a = random_box(rng, dim, span=6, max_ext=8)
+            kind = int(rng.integers(0, 5))
+            if kind == 0:
+                b = a
+            elif kind == 1:
+                b = a.grow(-1) if min(a.extents()) > 2 else a
+            elif kind == 2:
+                b = a.grow(int(rng.integers(0, 3)))
+            elif kind == 3:
+                b = Box.empty(dim)
+            else:
+                b = random_box(rng, dim, span=6, max_ext=8)
+            kinds.add("equal" if a == b else "nested" if a.contains_box(b) or b.contains_box(a)
+                      else "overlap" if a.intersects(b) else "disjoint")
+            pairs.append((a, b))
+        rows = [[[list(a.lo), list(a.hi)], [list(b.lo), list(b.hi)]] for a, b in pairs]
+        arr = np.array(rows, dtype=np.int64).reshape(-1, 2, 2, dim)
+        row, lo, hi = box_diffs(arr[:, 0], arr[:, 1])
+        got = list(zip(row.tolist(), lo.tolist(), hi.tolist()))
+        want = [
+            (k, list(p.lo), list(p.hi)) for k, (a, b) in enumerate(pairs) for p in box_diff(a, b)
+        ]
+        assert got == want
+        assert lo.shape == hi.shape == (len(want), dim)
+    assert kinds == {"equal", "nested", "overlap", "disjoint"}
 
 
 def test_index_type_conversion():

@@ -53,7 +53,7 @@ from amrkit.particles import (
 )
 from amrkit.transport import Transport, TransportError
 
-from conftest import FaultyTransport, random_cover
+from conftest import FaultyTransport, box_hits, random_cover
 
 DIM = 2
 
@@ -720,7 +720,7 @@ def test_sum_neighbors_accumulates_ghost_contributions(rng):
 
 
 class LoopHalo:
-    """The per-copy halo operations: one scalar intersections query per
+    """The per-copy halo operations: one one-row intersections query per
     (tile, periodic shift), one message entry per copy, and per (holder
     tile, owner tile) loops to refresh and fold back."""
 
@@ -753,13 +753,13 @@ class LoopHalo:
             cells = _cells_at(geom, tile.aos["pos"])
             src_rank = pc.dms[lev][g]
             for s in _periodic_shifts(geom.domain, geom.periodic, geom.dim):
-                sc = np.asarray(s.coords, dtype=np.int64)
+                sc = np.asarray(s, dtype=np.int64)
                 shifted = cells + sc
                 probe = Box(
                     IntVect(int(shifted[:, d].min()) - nghost for d in range(pc.dim)),
                     IntVect(int(shifted[:, d].max()) + nghost for d in range(pc.dim)),
                 )
-                for bidx, _ in layout_ba.intersections(probe):
+                for bidx, _ in box_hits(layout_ba, probe):
                     g2, t2 = map(int, layout_keys[bidx])
                     if not any(s) and (g2, t2) == (g, t):
                         continue

@@ -728,6 +728,33 @@ def test_particle_dump_bytes_match_per_tile_writer(rng, tmp_path):
         assert again.starts.tobytes() == pc.starts.tobytes()
 
 
+def test_particle_dump_rejects_short_or_unpacked_data(rng, tmp_path):
+    pc = _particle_setup(rng, nranks=2)
+    n = 120
+    pc.add_particles(rng.random((n, 2)), rdata=rng.random((1, n)),
+                     idata=np.zeros((1, n), dtype=np.int64),
+                     ids=np.arange(1, n + 1, dtype=np.int64))
+    redistribute(pc)
+    path = str(tmp_path / "dump")
+    write_particles(path, pc)
+    fname = os.path.join(path, "data.bin")
+    os.truncate(fname, os.path.getsize(fname) - 8)
+    with pytest.raises(ValueError, match="holds"):
+        read_particles(path)
+    write_particles(path, pc)
+    header = os.path.join(path, "Header")
+    with open(header) as fh:
+        lines = fh.read().splitlines()
+    tile = next(i for i, line in enumerate(lines) if line.startswith("tile ")) + 1
+    parts = lines[tile].split()
+    parts[5] = str(int(parts[5]) + 8)
+    lines[tile] = " ".join(parts)
+    with open(header, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="not packed"):
+        read_particles(path)
+
+
 def test_empty_particle_dump(rng, tmp_path):
     pc = _particle_setup(rng, nranks=2)
     path = str(tmp_path / "empty")
